@@ -1,14 +1,29 @@
-"""Gate-level circuit IR with a reference statevector simulator.
+"""Gate-level circuit IR with a compiled statevector simulator.
 
 Qubit 0 is the least significant bit of a basis index; amplitude arrays are
 little-endian throughout.  Circuits are immutable; simulation never mutates
 its input state.
+
+`Circuit.apply` runs a program compiled from the gate list on first use and
+cached on the circuit, so it lives exactly as long as the `Circuit`:
+
+- each maximal run of classical gates (X, Swap, Permutation, any controls)
+  becomes one index array `perm`, applied as `state[perm]`.  It is built by
+  pushing `arange(2^n)` through the run once, and equal runs within the
+  circuit (the QSVT sequence repeats a few of them d times) share one array;
+- every other gate updates the state in place through basic-indexed views of
+  the state reshaped to `(2,) * n + (columns,)`: controls fix their axes to
+  an integer and the target axis selects the 0/1 slices, so a gate with c
+  controls touches 2^(n-c) amplitudes and builds no index masks.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,10 +199,17 @@ class Circuit:
         if st.shape[0] != 1 << self.n_qubits:
             raise ValueError(
                 f"state has {st.shape[0]} amplitudes, circuit needs {1 << self.n_qubits}")
-        idx = np.arange(st.shape[0])
-        for g in self.gates:
-            st = _apply_gate(st, g, idx)
+        shape = (2,) * self.n_qubits + (st.shape[1],)
+        for step in self._program:
+            if isinstance(step, np.ndarray):
+                st = np.take(st, step, axis=0)
+            else:
+                step.run(st.reshape(shape))
         return st[:, 0] if flat else st
+
+    @cached_property
+    def _program(self) -> tuple:
+        return _compile(self.gates, self.n_qubits)
 
     def unitary(self) -> np.ndarray:
         """Dense matrix of the circuit (built column-by-column, one pass)."""
@@ -198,58 +220,93 @@ class Circuit:
         return export_text(self, lower_permutations)
 
 
-def _control_mask(idx, controls):
-    mask = np.ones(idx.shape, dtype=bool)
-    for q, p in controls:
-        mask &= ((idx >> q) & 1) == p
-    return mask
+# Gates that only move amplitudes; X and Swap as permutation tables of their targets.
+_CLASSICAL = frozenset({"X", "Swap", "Permutation"})
+_MOVE_TABLES = {"X": (1, 0), "Swap": (0, 2, 1, 3)}
 
 
-def _apply_gate(st, g, idx):
-    mask = _control_mask(idx, g.controls) if g.controls else None
-    if g.kind in _SIMPLE_1Q or g.kind in _PARAM_1Q:
-        m = _SIMPLE_1Q[g.kind] if g.kind in _SIMPLE_1Q else _PARAM_1Q[g.kind](g.param)
-        t = g.targets[0]
-        lo = ((idx >> t) & 1) == 0
-        sel0 = idx[(lo & mask) if mask is not None else lo]
-        sel1 = sel0 | (1 << t)
-        a, b = st[sel0], st[sel1]
-        st[sel0] = m[0, 0] * a + m[0, 1] * b
-        st[sel1] = m[1, 0] * a + m[1, 1] * b
-        return st
+class _OneQubit(NamedTuple):
+    """A 2x2 matrix applied to the target's 0 and 1 slices."""
+
+    index0: tuple
+    index1: tuple
+    matrix: np.ndarray
+
+    def run(self, v):
+        a, b = v[self.index0], v[self.index1]
+        (m00, m01), (m10, m11) = self.matrix
+        new_a = m00 * a + m01 * b
+        b[...] = m10 * a + m11 * b
+        a[...] = new_a
+
+
+class _Phase(NamedTuple):
+    """A (controlled) global phase."""
+
+    index: tuple
+    factor: complex
+
+    def run(self, v):
+        block = v[self.index]
+        block *= self.factor
+
+
+def _index(n, bits):
+    """Basic index into a `(2,) * n + ...` view fixing qubit q to b for each
+    (q, b) in bits."""
+    idx = [slice(None)] * n
+    for q, b in bits:
+        idx[n - 1 - q] = b
+    return tuple(idx)
+
+
+def _move(v, g, n):
+    """Apply classical gate g in place to v of shape `(2,) * n + ...`.
+
+    Target block j (target i is bit i of j) moves to block table[j].
+    """
+    table = _MOVE_TABLES.get(g.kind, g.table)
+
+    def block(j):
+        return _index(n, g.controls + tuple((q, (j >> i) & 1) for i, q in enumerate(g.targets)))
+
+    moved = {j: v[block(j)].copy() for j, k in enumerate(table) if j != k}
+    for j, src in moved.items():
+        v[block(table[j])] = src
+
+
+def _step(g, n):
+    """The view kernel of one gate that is not classical."""
     if g.kind == "GlobalPhase":
-        f = np.exp(1j * g.param)
-        if mask is None:
-            st *= f
-        else:
-            st[mask] *= f
-        return st
-    if g.kind == "Swap":
-        t0, t1 = g.targets
-        cond = (((idx >> t0) & 1) == 1) & (((idx >> t1) & 1) == 0)
-        if mask is not None:
-            cond &= mask
-        sel = idx[cond]
-        other = (sel ^ (1 << t0)) | (1 << t1)
-        st[sel], st[other] = st[other].copy(), st[sel].copy()
-        return st
-    if g.kind == "Permutation":
-        tbl = np.asarray(g.table)
-        block = np.zeros(idx.shape, dtype=idx.dtype)
-        for i, q in enumerate(g.targets):
-            block |= ((idx >> q) & 1) << i
-        newblock = tbl[block]
-        dest = idx.copy()
-        for i, q in enumerate(g.targets):
-            dest &= ~(1 << q)
-            dest |= ((newblock >> i) & 1) << q
-        out = st.copy()
-        if mask is None:
-            out[dest] = st[idx]
-        else:
-            out[dest[mask]] = st[idx[mask]]
-        return out
-    raise AssertionError(g.kind)
+        return _Phase(_index(n, g.controls), np.exp(1j * g.param))
+    m = _SIMPLE_1Q[g.kind] if g.kind in _SIMPLE_1Q else _PARAM_1Q[g.kind](g.param)
+    t = g.targets[0]
+    return _OneQubit(_index(n, g.controls + ((t, 0),)), _index(n, g.controls + ((t, 1),)), m)
+
+
+def _gather(run, n):
+    """Index array of a classical run: `arange(2^n)` pushed through its gates."""
+    perm = np.arange(1 << n)
+    for g in run:
+        _move(perm.reshape((2,) * n), g, n)
+    return perm
+
+
+def _compile(gates, n):
+    """The simulation program of a gate list: gather arrays and view kernels.
+
+    Equal gates, and equal runs of classical gates, share one step: the QSVT
+    sequence repeats the same few blocks d times.
+    """
+    program = []
+    shared = {}  # a gate, or a run of classical gates -> its step
+    for classical, group in groupby(gates, key=lambda g: g.kind in _CLASSICAL):
+        for key in [tuple(group)] if classical else group:
+            step = shared.get(key)
+            if step is None:
+                step = shared[key] = _gather(key, n) if classical else _step(key, n)
+            program.append(step)
+    return tuple(program)
 
 
 def lower_permutation_gate(g: Gate) -> list[Gate]:

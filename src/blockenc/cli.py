@@ -1,7 +1,8 @@
 """Command-line surface: evaluate, verify, estimate, emit, and built-in demos.
 
 Structured output is JSON on stdout; diagnostics go to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage or parse errors.
+0 success, 1 verification failure, 2 usage or parse errors, bad BE_BUDGET
+values, and graphs too large for the evaluation budget.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import graphs
 from .composites import Adjoint
-from .nodes import Node
+from .nodes import BudgetExceededError, Node
 from .primitives import (
     ConstantIntegerAddition,
     ConstantVector,
@@ -253,7 +254,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, graphs.GraphFormatError) as exc:
+    except (ValueError, graphs.GraphFormatError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,16 +40,23 @@ class Budget:
         raw = os.environ.get("BE_BUDGET")
         if not raw:
             return cls()
-        parts = [int(p) for p in raw.split(",")]
-        if len(parts) == 1:
-            return cls(max_amplitudes=parts[0])
-        return cls(max_amplitudes=parts[0], max_dim=parts[1])
+        try:
+            parts = [int(p) for p in raw.split(",")]
+        except ValueError:
+            parts = []
+        if not 1 <= len(parts) <= 2 or min(parts) <= 0:
+            raise ValueError(f"BE_BUDGET={raw!r} is not of the form "
+                             f'"<max_amplitudes>[,<max_dim>]" with positive integers')
+        return cls(*parts)
 
 
-_budget = Budget.from_env()
+_budget: Budget | None = None  # read from BE_BUDGET on first use, not at import
 
 
 def get_budget() -> Budget:
+    global _budget
+    if _budget is None:
+        _budget = Budget.from_env()
     return _budget
 
 

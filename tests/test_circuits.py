@@ -87,6 +87,116 @@ class TestApply:
             assert abs(np.linalg.norm(out) - 1) < 1e-12
 
 
+# 2x2 matrices written out independently of blockenc.circuits
+_C, _S = math.cos, math.sin
+REFERENCE_1Q = {
+    "X": lambda t: [[0, 1], [1, 0]],
+    "Y": lambda t: [[0, -1j], [1j, 0]],
+    "Z": lambda t: [[1, 0], [0, -1]],
+    "H": lambda t: [[2 ** -0.5, 2 ** -0.5], [2 ** -0.5, -2 ** -0.5]],
+    "S": lambda t: [[1, 0], [0, 1j]],
+    "T": lambda t: [[1, 0], [0, complex(_C(math.pi / 4), _S(math.pi / 4))]],
+    "Phase": lambda t: [[1, 0], [0, complex(_C(t), _S(t))]],
+    "RX": lambda t: [[_C(t / 2), -1j * _S(t / 2)], [-1j * _S(t / 2), _C(t / 2)]],
+    "RY": lambda t: [[_C(t / 2), -_S(t / 2)], [_S(t / 2), _C(t / 2)]],
+    "RZ": lambda t: [[complex(_C(t / 2), -_S(t / 2)), 0], [0, complex(_C(t / 2), _S(t / 2))]],
+}
+
+
+def reference_gate_matrix(g, n):
+    """Dense 2^n x 2^n matrix of one gate, filled one basis column at a time."""
+    dim = 1 << n
+    m = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        if any((b >> q) & 1 != p for q, p in g.controls):
+            m[b, b] = 1
+        elif g.kind == "GlobalPhase":
+            m[b, b] = complex(_C(g.param), _S(g.param))
+        elif g.kind in REFERENCE_1Q:
+            t = g.targets[0]
+            u = REFERENCE_1Q[g.kind](g.param)
+            for out_bit in (0, 1):
+                row = (b & ~(1 << t)) | (out_bit << t)
+                m[row, b] = u[out_bit][(b >> t) & 1]
+        else:
+            if g.kind == "Swap":
+                targets, table = g.targets, (0, 2, 1, 3)
+            else:
+                targets, table = g.targets, g.table
+            block = sum(((b >> q) & 1) << i for i, q in enumerate(targets))
+            row = b
+            for i, q in enumerate(targets):
+                row = (row & ~(1 << q)) | (((table[block] >> i) & 1) << q)
+            m[row, b] = 1
+    return m
+
+
+def reference_apply(circ, states):
+    for g in circ.gates:
+        states = reference_gate_matrix(g, circ.n_qubits) @ states
+    return states
+
+
+def random_states(rng, n, cols):
+    v = rng.standard_normal((1 << n, cols)) + 1j * rng.standard_normal((1 << n, cols))
+    return v / np.linalg.norm(v, axis=0)
+
+
+def repeated_run_circuit():
+    """The same classical run four times, interleaved with rotations and
+    controlled global phases, on 3 main qubits and 1 ancilla."""
+    run = [x(0), x(2, [(1, 0)]), swap(0, 3, [(2, 1)]),
+           permutation([2, 0, 3, 1], [1, 3], [(0, 0)]), x(1, [(0, 1), (3, 0)])]
+    gates = []
+    for k in range(4):
+        gates += run + [ry(0.3 + k, 1, [(2, 0)]), rz(-0.7 * k, 3),
+                        global_phase(0.4, [(0, 1), (1, 0)]), Gate("Y", (2,), ((3, 0),))]
+    return Circuit(3, 1, tuple(gates))
+
+
+class TestReference:
+    """`Circuit.apply` against dense matrices built independently, gate by gate."""
+
+    def test_random_circuits_multi_column(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            circ = random_circuit(rng, n, 30, with_permutation=True)
+            states = random_states(rng, n, 3)
+            before = states.copy()
+            want = reference_apply(circ, states)
+            got = circ.apply(states)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.array_equal(states, before)
+            assert np.array_equal(circ.apply(states), got)  # from the cached program
+            # the view kernels must also update Fortran-ordered and flat inputs
+            assert np.max(np.abs(circ.apply(np.asfortranarray(states)) - want)) <= 1e-12
+            assert np.max(np.abs(circ.apply(states[:, 0]) - want[:, 0])) <= 1e-12
+
+    def test_long_classical_runs(self):
+        """Runs of a dozen or more X/Swap/Permutation gates, each fused into one
+        gather, between RY, RZ and controlled global phases."""
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            gates = []
+            for k in range(4):
+                gates += [g for g in random_circuit(rng, n, 60, with_permutation=True).gates
+                          if g.kind in ("X", "Swap", "Permutation")]
+                gates += [ry(0.2 * k + 0.1, k % n, [((k + 1) % n, k % 2)]), rz(1.3 - k, 0),
+                          global_phase(0.5 * k, [(n - 1, 0)])]
+            circ = Circuit(n, 0, tuple(gates))
+            states = random_states(rng, n, 2)
+            assert np.max(np.abs(circ.apply(states) - reference_apply(circ, states))) <= 1e-12
+
+    def test_repeated_classical_run(self):
+        circ = repeated_run_circuit()
+        states = random_states(np.random.default_rng(24), 4, 5)
+        assert np.max(np.abs(circ.apply(states) - reference_apply(circ, states))) <= 1e-12
+        gathers = [s for s in circ._program if isinstance(s, np.ndarray)]
+        assert len(gathers) == 4 and all(s is gathers[0] for s in gathers)
+
+
 class TestUnitarity:
     def test_random_circuits(self):
         rng = np.random.default_rng(11)
@@ -101,10 +211,6 @@ class TestUnitarity:
         for _ in range(30):
             n = int(rng.integers(2, 5))
             circ = random_circuit(rng, n, 6)
-            m = circ.unitary()
-            for g in circ.gates:
-                if not g.controls:
-                    continue
             # columns whose basis state violates the first gate's controls
             g = circ.gates[0] if circ.gates else None
             if g is None or not g.controls:

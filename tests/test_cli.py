@@ -73,6 +73,17 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "/nonexistent/graph.json")
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [["verify"], ["eval", "--input", "basis:1", "--simulate"]])
+    def test_over_budget_is_a_usage_error(self, tmp_path, capsys, argv):
+        g = write_graph(tmp_path, be.Increment(3))
+        old = be.get_budget()
+        try:
+            be.set_budget(be.Budget(max_amplitudes=4, max_dim=2))
+            rc, out, err = run(capsys, argv[0], g, *argv[1:])
+        finally:
+            be.set_budget(old)
+        assert rc == 2 and out == "" and err.startswith("error: ") and "budget" in err
+
 
 class TestEstimate:
     def test_increment(self, tmp_path, capsys):

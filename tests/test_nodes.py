@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -185,6 +189,25 @@ class TestCachesAndBudget:
         monkeypatch.setenv("BE_BUDGET", "1024,64")
         b = Budget.from_env()
         assert b.max_amplitudes == 1024 and b.max_dim == 64
+
+    @pytest.mark.parametrize("raw", ["abc", "1024,x", "1,2,3", "0", "1024,-1"])
+    def test_bad_env_value_is_a_clear_error(self, monkeypatch, raw):
+        monkeypatch.setenv("BE_BUDGET", raw)
+        with pytest.raises(ValueError, match=r"BE_BUDGET.*<max_amplitudes>\[,<max_dim>\]"):
+            Budget.from_env()
+
+    def test_bad_env_value_does_not_break_import(self):
+        src = os.path.dirname(os.path.dirname(be.__file__))
+        code = ("import blockenc\n"
+                "try:\n"
+                "    blockenc.get_budget()\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, BE_BUDGET="abc", PYTHONPATH=src),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "BE_BUDGET='abc'" in proc.stdout
 
 
 class TestNormQueryFormula:
