@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .circuits import Gate, global_phase, permutation, ry
-from .nodes import Node, ProxyNode, embed_gates
+from .nodes import Node, ProxyNode, Wrapper, embed_gates
 from .primitives import ConstantVector, Identity, Permutation, Projection
 from .subspaces import ScratchPool, Subspace, membership_flip_gates
 
 
-class Adjoint(Node):
+class Adjoint(Wrapper):
     """Conjugate transpose: swapped subspaces, reversed and inverted circuit."""
 
     def __init__(self, a: Node):
@@ -27,20 +28,14 @@ class Adjoint(Node):
     def _raw_subspaces(self):
         return self.a.subspace_out, self.a.subspace_in
 
-    @property
-    def normalization(self):
-        return self.a.normalization
-
     def compute(self, v):
         return self.a.adjoint_compute(v)
 
     def adjoint_compute(self, w):
         return self.a.compute(w)
 
-    def _parts(self):
-        circ = self.a.circuit().adjoint()
-        pers = self.a.persistent_ancillas
-        return list(circ.gates), pers, circ.ancilla_qubits - pers
+    def _lower(self):
+        return self.a.circuit().adjoint(), self.a.persistent_ancillas
 
     @property
     def exact_forward(self):
@@ -74,10 +69,10 @@ class ZeroMatrix(Node):
     normalization = 1.0
 
     def compute(self, v):
-        return np.zeros(self._out.dim, dtype=complex)
+        return np.zeros((self._out.dim,) + np.shape(v)[1:], dtype=complex)
 
     def adjoint_compute(self, w):
-        return np.zeros(self._in.dim, dtype=complex)
+        return np.zeros((self._in.dim,) + np.shape(w)[1:], dtype=complex)
 
     def _parts(self):
         return [Gate("X", (self.main_qubits,))], 1, 0
@@ -86,7 +81,7 @@ class ZeroMatrix(Node):
         return f"ZeroMatrix({self._out.dim}x{self._in.dim})"
 
 
-class Scale(Node):
+class Scale(Wrapper):
     """Scalar multiple: gamma scales by |c|, the circuit gains arg(c) as a phase."""
 
     def __init__(self, factor, a: Node):
@@ -96,9 +91,6 @@ class Scale(Node):
         self.factor = factor
         self.a = a
         self.children = (a,)
-
-    def _raw_subspaces(self):
-        return self.a.subspace_in, self.a.subspace_out
 
     @property
     def normalization(self):
@@ -110,22 +102,12 @@ class Scale(Node):
     def adjoint_compute(self, w):
         return self.factor.conjugate() * self.a.adjoint_compute(w)
 
-    def _parts(self):
-        circ = self.a.circuit()
-        gates = list(circ.gates)
+    def _lower(self):
+        circ, pers = super()._lower()
         arg = cmath.phase(self.factor)
         if arg != 0.0:
-            gates.append(global_phase(arg))
-        pers = self.a.persistent_ancillas
-        return gates, pers, circ.ancilla_qubits - pers
-
-    @property
-    def exact_forward(self):
-        return self.a.exact_forward
-
-    @property
-    def exact_backward(self):
-        return self.a.exact_backward
+            circ = replace(circ, gates=circ.gates + (global_phase(arg),))
+        return circ, pers
 
     def __repr__(self):
         return f"Scale({self.factor}, {self.a!r})"
@@ -138,15 +120,12 @@ def scale(factor, a: Node) -> Node:
     return Scale(factor, a)
 
 
-class _UnitNormalized(Node):
+class _UnitNormalized(Wrapper):
     """Same unitary, block relabeled as A/gamma with normalization exactly 1."""
 
     def __init__(self, a: Node):
         self.a = a
         self.children = (a,)
-
-    def _raw_subspaces(self):
-        return self.a.subspace_in, self.a.subspace_out
 
     normalization = 1.0
 
@@ -155,19 +134,6 @@ class _UnitNormalized(Node):
 
     def adjoint_compute(self, w):
         return self.a.adjoint_compute(w) / self.a.normalization
-
-    def _parts(self):
-        circ = self.a.circuit()
-        pers = self.a.persistent_ancillas
-        return list(circ.gates), pers, circ.ancilla_qubits - pers
-
-    @property
-    def exact_forward(self):
-        return self.a.exact_forward
-
-    @property
-    def exact_backward(self):
-        return self.a.exact_backward
 
 
 class Product(Node):
@@ -295,20 +261,12 @@ class Tensor(Node):
         return self.a.normalization * self.b.normalization
 
     def compute(self, v):
-        a, b = self.a, self.b
-        v = np.asarray(v, dtype=complex).reshape(a.dim_in, b.dim_in)
-        rows = np.stack([b.compute(v[i]) for i in range(a.dim_in)])
-        return np.stack(
-            [a.compute(rows[:, j]) for j in range(rows.shape[1])], axis=1
-        ).reshape(-1)
+        return _kron_apply(self.a.compute, self.b.compute,
+                           self.a.dim_in, self.b.dim_in, v)
 
     def adjoint_compute(self, w):
-        a, b = self.a, self.b
-        w = np.asarray(w, dtype=complex).reshape(a.dim_out, b.dim_out)
-        rows = np.stack([b.adjoint_compute(w[i]) for i in range(a.dim_out)])
-        return np.stack(
-            [a.adjoint_compute(rows[:, j]) for j in range(rows.shape[1])], axis=1
-        ).reshape(-1)
+        return _kron_apply(self.a.adjoint_compute, self.b.adjoint_compute,
+                           self.a.dim_out, self.b.dim_out, w)
 
     @property
     def exact_forward(self):
@@ -334,6 +292,15 @@ class Tensor(Node):
 
     def __repr__(self):
         return f"({self.a!r} & {self.b!r})"
+
+
+def _kron_apply(fa, fb, na: int, nb: int, v):
+    """(A (x) B) v for rules fa, fb acting along axis 0 of an na*nb-row input."""
+    v = np.asarray(v, dtype=complex)
+    k = math.prod(v.shape[1:])
+    y = fb(v.reshape(na, nb, k).transpose(1, 0, 2).reshape(nb, na * k))
+    y = y.reshape(-1, na, k).transpose(1, 0, 2).reshape(na, -1)
+    return fa(y).reshape((-1,) + v.shape[1:])
 
 
 class BlockDiagonal(Node):

@@ -17,6 +17,7 @@ import numbers
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +129,14 @@ class Node:
 
     Subclasses provide `_raw_subspaces`, `normalization`, `compute`,
     `adjoint_compute`, and `_parts` (gate list plus persistent/scratch ancilla
-    counts).  Everything else, including caching, lives here.
+    counts), or override `_lower` to return a finished (circuit, persistent
+    ancillas) pair.  Everything else, including caching, lives here.
+
+    `compute` and `adjoint_compute` take a vector of length dim or a (dim, k)
+    column stack, act along axis 0 and return the rank they were given, so
+    `toarray` is one `compute` of the identity.  Nodes over one inner node
+    derive from `Wrapper`, which forwards all of the above to it and reuses
+    its `Circuit` object; they override only what they change.
     """
 
     children: tuple["Node", ...] = ()
@@ -206,30 +214,27 @@ class Node:
     def is_vector(self) -> bool:
         return self.dim_in == 1
 
+    def _lower(self) -> tuple[Circuit, int]:
+        """(circuit, persistent ancillas); built from `_parts` unless overridden."""
+        gates, pers, scr = self._parts()
+        return Circuit(self.main_qubits, pers + scr, tuple(gates)), pers
+
+    @cached_property
+    def _lowered(self) -> tuple[Circuit, int]:
+        return self._lower()
+
     def circuit(self) -> Circuit:
-        cached = getattr(self, "_circuit", None)
-        if cached is None:
-            gates, pers, scr = self._parts()
-            cached = Circuit(self.main_qubits, pers + scr, tuple(gates))
-            self._pers = pers
-            self._circuit = cached
-        return cached
+        return self._lowered[0]
 
     @property
     def persistent_ancillas(self) -> int:
-        self.circuit()
-        return self._pers
+        return self._lowered[1]
 
     @property
     def ancilla_count(self) -> int:
         return self.circuit().ancilla_qubits
 
     # -- evaluation ---------------------------------------------------------
-    def compute_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Column-wise `compute` on a (dim_in, k) matrix."""
-        m = np.asarray(m, dtype=complex)
-        return np.stack([self.compute(m[:, j]) for j in range(m.shape[1])], axis=1)
-
     def toarray(self) -> np.ndarray:
         cached = getattr(self, "_array", None)
         if cached is None:
@@ -237,7 +242,7 @@ class Node:
             if self.dim_in > b.max_dim or self.dim_out > b.max_dim:
                 raise BudgetExceededError(
                     f"dense matrix {self.dim_out}x{self.dim_in} exceeds budget {b.max_dim}")
-            cached = self.compute_matrix(np.eye(self.dim_in, dtype=complex))
+            cached = self.compute(np.eye(self.dim_in, dtype=complex))
             cached.setflags(write=False)
             self._array = cached
         return cached
@@ -365,50 +370,57 @@ class Node:
         return sliced(self, key)
 
 
-class ProxyNode(Node):
+class Wrapper(Node):
+    """A node over one inner node (`a`) whose subspaces, certificates,
+    assumptions, arithmetic and circuit pass through unchanged unless a
+    subclass overrides them.  The circuit is the inner node's own object."""
+
+    @property
+    def inner(self) -> Node:
+        return self.a
+
+    def _raw_subspaces(self):
+        return self.inner.subspace_in, self.inner.subspace_out
+
+    @property
+    def normalization(self) -> float:
+        return self.inner.normalization
+
+    def compute(self, v):
+        return self.inner.compute(v)
+
+    def adjoint_compute(self, w):
+        return self.inner.adjoint_compute(w)
+
+    def _lower(self):
+        return self.inner.circuit(), self.inner.persistent_ancillas
+
+    @property
+    def exact_forward(self):
+        return self.inner.exact_forward
+
+    @property
+    def exact_backward(self):
+        return self.inner.exact_backward
+
+    @property
+    def assumptions(self):
+        return self.inner.assumptions
+
+
+class ProxyNode(Wrapper):
     """A node defined by an expansion into other nodes; built once, cached."""
 
     def _expand(self) -> Node:
         raise NotImplementedError
 
-    @property
+    @cached_property
     def expansion(self) -> Node:
-        cached = getattr(self, "_expansion", None)
-        if cached is None:
-            cached = self._expand()
-            self._expansion = cached
-        return cached
-
-    def _raw_subspaces(self):
-        e = self.expansion
-        return e.subspace_in, e.subspace_out
+        return self._expand()
 
     @property
-    def normalization(self) -> float:
-        return self.expansion.normalization
-
-    def compute(self, v):
-        return self.expansion.compute(v)
-
-    def adjoint_compute(self, w):
-        return self.expansion.adjoint_compute(w)
-
-    def _parts(self):
-        e = self.expansion
-        circ = e.circuit()
-        return list(circ.gates), e.persistent_ancillas, circ.ancilla_qubits - e.persistent_ancillas
-
-    @property
-    def exact_forward(self):
-        return self.expansion.exact_forward
-
-    @property
-    def exact_backward(self):
-        return self.expansion.exact_backward
-
-    @property
-    def assumptions(self):
-        return self.expansion.assumptions
+    def inner(self) -> Node:
+        return self.expansion
 
 
 def embed_gates(child: Node, main_map, flag_base: int, scratch_base: int) -> list[Gate]:

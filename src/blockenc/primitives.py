@@ -62,10 +62,10 @@ class Increment(Node):
     normalization = 1.0
 
     def compute(self, v):
-        return np.roll(np.asarray(v, dtype=complex), 1)
+        return np.roll(np.asarray(v, dtype=complex), 1, axis=0)
 
     def adjoint_compute(self, w):
-        return np.roll(np.asarray(w, dtype=complex), -1)
+        return np.roll(np.asarray(w, dtype=complex), -1, axis=0)
 
     def _parts(self):
         return list(_increment_gates(range(self.bits))), 0, 0
@@ -104,10 +104,10 @@ class ConstantIntegerAddition(Node):
     normalization = 1.0
 
     def compute(self, v):
-        return np.roll(np.asarray(v, dtype=complex), self.constant)
+        return np.roll(np.asarray(v, dtype=complex), self.constant, axis=0)
 
     def adjoint_compute(self, w):
-        return np.roll(np.asarray(w, dtype=complex), -self.constant)
+        return np.roll(np.asarray(w, dtype=complex), -self.constant, axis=0)
 
     def _parts(self):
         c = self.constant % (1 << self.bits)
@@ -139,19 +139,17 @@ class IntegerAddition(Node):
 
     normalization = 1.0
 
+    def _sources(self, shift: int) -> np.ndarray:
+        """Row a*T + b of the result reads row a*T + (b + shift*a mod T)."""
+        t = 1 << self.target_bits
+        a, b = np.divmod(np.arange(t << self.source_bits), t)
+        return a * t + (b + shift * a) % t
+
     def compute(self, v):
-        v = np.asarray(v, dtype=complex).reshape(1 << self.source_bits, 1 << self.target_bits)
-        out = np.empty_like(v)
-        for a in range(v.shape[0]):
-            out[a] = np.roll(v[a], a)
-        return out.reshape(-1)
+        return np.asarray(v, dtype=complex)[self._sources(-1)]
 
     def adjoint_compute(self, w):
-        w = np.asarray(w, dtype=complex).reshape(1 << self.source_bits, 1 << self.target_bits)
-        out = np.empty_like(w)
-        for a in range(w.shape[0]):
-            out[a] = np.roll(w[a], -a)
-        return out.reshape(-1)
+        return np.asarray(w, dtype=complex)[self._sources(1)]
 
     def _parts(self):
         t = self.target_bits
@@ -184,11 +182,11 @@ class QFT(Node):
 
     def compute(self, v):
         v = np.asarray(v, dtype=complex)
-        return np.fft.ifft(v) * math.sqrt(len(v))
+        return np.fft.ifft(v, axis=0) * math.sqrt(len(v))
 
     def adjoint_compute(self, w):
         w = np.asarray(w, dtype=complex)
-        return np.fft.fft(w) / math.sqrt(len(w))
+        return np.fft.fft(w, axis=0) / math.sqrt(len(w))
 
     def _parts(self):
         n = self.bits
@@ -232,11 +230,13 @@ class ConstantVector(Node):
         return self._gamma
 
     def compute(self, v):
+        # entries times the single input row, broadcast over any columns
         v = np.asarray(v, dtype=complex)
-        return self.entries * v[0]
+        return self.entries.reshape((-1,) + (1,) * (v.ndim - 1)) * v[:1]
 
     def adjoint_compute(self, w):
-        return np.array([np.vdot(self.entries, np.asarray(w, dtype=complex))])
+        # vecdot conjugates its first argument: <entries, column> per column
+        return np.vecdot(self.entries, np.asarray(w, dtype=complex).T)[None]
 
     def _parts(self):
         k = self._out.qubit_count
@@ -351,19 +351,18 @@ class Projection(Node):
 
     normalization = 1.0
 
-    def compute(self, v):
+    @staticmethod
+    def _prefix(v, rows: int) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
-        out = np.zeros(self.keep_out, dtype=complex)
-        n = min(self.keep_in, self.keep_out)
-        out[:n] = v[:n]
+        out = np.zeros((rows,) + v.shape[1:], dtype=complex)
+        out[:min(rows, len(v))] = v[:rows]
         return out
 
+    def compute(self, v):
+        return self._prefix(v, self.keep_out)
+
     def adjoint_compute(self, w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(self.keep_in, dtype=complex)
-        n = min(self.keep_in, self.keep_out)
-        out[:n] = w[:n]
-        return out
+        return self._prefix(w, self.keep_in)
 
     def _parts(self):
         return [], 0, 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -164,21 +165,16 @@ def _symmetric_full(vars_, d):
     return full
 
 
-_solve_cache: dict = {}
-
-
+@lru_cache(maxsize=64)
 def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
                  max_iterations: int = 500) -> PhaseVector:
     """Phases whose realized function matches the target at Chebyshev nodes.
 
     Deterministic: fixed nodes, fixed start (zero symmetric phases plus the
     pi/4 endpoint offsets), damped Gauss-Newton with a fixed schedule.  Pure
-    Chebyshev targets c*T_d are dispatched analytically.
+    Chebyshev targets c*T_d are dispatched analytically.  The last 64
+    distinct calls are cached (`solve_phases.cache_info()` counts hits).
     """
-    key = (target.coefficients, target.parity, tol)
-    if key in _solve_cache:
-        return _solve_cache[key]
-
     c = np.asarray(target.coefficients, dtype=float)
     d = target.degree
     nonzero = np.flatnonzero(np.abs(c) > 1e-14)
@@ -191,9 +187,7 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
         phases[0] = math.acos(amp)
         xs = np.cos((2 * np.arange(1, d + 2) - 1) * math.pi / (4 * (d + 1)))
         res = float(np.max(np.abs(realized_poly(phases, xs) - target(xs))))
-        out = PhaseVector(tuple(phases), target.parity, res)
-        _solve_cache[key] = out
-        return out
+        return PhaseVector(tuple(phases), target.parity, res)
 
     sup = target.sup_norm()
     if sup > 1 - _MARGIN:
@@ -238,9 +232,7 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
         raise PhaseSolverError(
             f"phase solver stalled at residual {best:.3e} (tolerance {tol:.1e})",
             residual=best)
-    out = PhaseVector(tuple(_symmetric_full(vars_, d)), target.parity, best)
-    _solve_cache[key] = out
-    return out
+    return PhaseVector(tuple(_symmetric_full(vars_, d)), target.parity, best)
 
 
 class SingularValueTransform(Node):

@@ -209,16 +209,8 @@ class Subspace:
         scratch; scratch is restored to |0> on every basis input.
         """
         n = self.qubit_count
-        if self.is_full:
-            return Circuit(n, 1, ())
         pool = ScratchPool(n + 1)
-        flag = n
-        body = _flip_if_member(self, 0, flag, (), pool)
-        if len(body) == 1 and len(body[0].controls) == 1:
-            (q, p), = body[0].controls
-            gates = [Gate("X", (flag,), ((q, 1 - p),))]
-        else:
-            gates = [Gate("X", (flag,))] + body
+        gates = membership_flip_gates(self, 0, n, pool)
         return Circuit(n, 1 + pool.peak, tuple(gates))
 
 

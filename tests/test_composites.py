@@ -204,6 +204,42 @@ class TestAdd:
             be.Increment(2) + be.Increment(1)
 
 
+class TestSharedCircuits:
+    """Wrappers lower to their inner node's own circuit object."""
+
+    def flagged(self):
+        # the sub-normalization flag of the block diagonal is a persistent ancilla
+        return be.Identity(dim=2) | be.Scale(0.5, be.Identity(dim=2))
+
+    def test_add_shares_its_expansion(self):
+        node = be.Increment(2) + be.QFT(2)
+        assert node.circuit() is node.expansion.circuit()
+
+    def test_pseudoinverse_shares_its_expansion(self):
+        node = be.Pseudoinverse(self.flagged(), condition=2.0, tolerance=0.05)
+        assert node.circuit() is node.expansion.circuit()
+        assert node.circuit() is node.expansion.a.circuit()
+
+    def test_positive_scale_shares_its_operand(self):
+        x = self.flagged()
+        assert be.Scale(2.0, x).circuit() is x.circuit()
+
+    def test_complex_scale_appends_its_phase(self):
+        x = self.flagged()
+        circ = be.Scale(-1j, x).circuit()
+        assert circ.gates[:-1] == x.circuit().gates
+        assert circ.gates[-1].kind == "GlobalPhase"
+        assert circ.ancilla_qubits == x.circuit().ancilla_qubits
+
+    def test_persistent_ancillas_pass_through(self):
+        x = self.flagged()
+        assert x.persistent_ancillas == 1
+        assert x.adjoint().persistent_ancillas == 1
+        assert be.Scale(1j, x).persistent_ancillas == 1
+        node = x + x
+        assert node.persistent_ancillas == node.expansion.persistent_ancillas
+
+
 class TestSlicing:
     def test_numpy_slice_oracle(self):
         rng = np.random.default_rng(17)

@@ -154,6 +154,45 @@ class TestSimulateNorm:
             be.Increment(2).simulate_norm()
 
 
+def random_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def batch_nodes():
+    """Every node of several corpora, plus the node types no corpus draws."""
+    nodes = []
+    for seed in (0, 1, 2, 3, 77):
+        pool, made = build_corpus(seed)
+        nodes += [node for node, _ in pool + made]
+    a = 0.6 * be.Increment(2) + 0.3 * be.Identity(dim=4)
+    nodes += [be.ZeroMatrix(3, 5), be.ZeroMatrix(3, 5) & be.QFT(2),
+              be.IntegerAddition(2, 2), be.Projection(be.Subspace.from_dim(6), 5, 3),
+              be.Pseudoinverse(a, condition=3.0, tolerance=0.05)]
+    return nodes
+
+
+class TestBatchCompute:
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_stack_equals_columns(self, adjoint):
+        rng = np.random.default_rng(6)
+        for node in batch_nodes():
+            rule = node.adjoint_compute if adjoint else node.compute
+            dim_in, dim_out = node.dim_in, node.dim_out
+            if adjoint:
+                dim_in, dim_out = dim_out, dim_in
+            stack = random_stack(rng, dim_in, 3)
+            got = rule(stack)
+            assert got.shape == (dim_out, 3), node
+            for j in range(3):
+                col = rule(stack[:, j])
+                assert col.shape == (dim_out,), node
+                assert np.max(np.abs(got[:, j] - col)) < 1e-12, node
+
+    def test_toarray_is_one_compute_of_the_identity(self):
+        node = be.Increment(2) & be.ConstantVector([1.0, 2.0, 2.0])
+        assert np.array_equal(node.toarray(), node.compute(np.eye(node.dim_in)))
+
+
 class TestAdjointness:
     def test_pairing_identity(self):
         rng = np.random.default_rng(5)
@@ -164,6 +203,15 @@ class TestAdjointness:
             lhs = np.vdot(w, node.compute(v))
             rhs = np.vdot(node.adjoint_compute(w), v)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+    def test_pairing_on_stacks(self):
+        rng = np.random.default_rng(8)
+        for node in batch_nodes():
+            v = random_stack(rng, node.dim_in, 3)
+            w = random_stack(rng, node.dim_out, 4)
+            lhs = w.conj().T @ node.compute(v)
+            rhs = node.adjoint_compute(w).conj().T @ v
+            assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(lhs))), node
 
 
 class TestCachesAndBudget:

@@ -130,6 +130,17 @@ class TestSolvePhases:
         t = bounded_random_target(rng, 9)
         assert solve_phases(t).phases == solve_phases(t).phases
 
+    def test_cache_returns_the_same_result_and_is_bounded(self):
+        rng = np.random.default_rng(36)
+        t = bounded_random_target(rng, 9)
+        hits = solve_phases.cache_info().hits
+        assert solve_phases(t) is solve_phases(t)
+        assert solve_phases.cache_info().hits == hits + 1
+        for amp in np.linspace(0.1, 0.9, 100):
+            solve_phases(TargetPolynomial.chebyshev([0, 0, 0, amp]))
+        info = solve_phases.cache_info()
+        assert info.maxsize == 64 and info.currsize == 64
+
 
 class TestSingularValueTransformNode:
     def test_linear_target_reproduces_block(self):
