@@ -99,19 +99,6 @@ class Gate:
             return Gate("Permutation", self.targets, self.controls, table=tuple(inv))
         raise AssertionError(self.kind)
 
-    def remapped(self, fn) -> "Gate":
-        return Gate(
-            self.kind,
-            tuple(fn(q) for q in self.targets),
-            tuple((fn(q), p) for q, p in self.controls),
-            self.param,
-            self.table,
-        )
-
-    def with_control(self, qubit: int, polarity: int) -> "Gate":
-        return Gate(self.kind, self.targets, self.controls + ((qubit, polarity),),
-                    self.param, self.table)
-
     def count_key(self) -> str:
         n = len(self.controls)
         prefix = "C" * n if n <= 2 else f"C{n}"

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .circuits import Gate, global_phase, permutation, ry
-from .nodes import Node, ProxyNode, Wrapper, embed_gates
+from .nodes import Layout, Node, ProxyNode, Wrapper
 from .primitives import ConstantVector, Identity, Permutation, Projection
 from .subspaces import ScratchPool, Subspace, membership_flip_gates
 
@@ -194,12 +194,8 @@ class Product(Node):
     def _parts(self):
         a, b = self.a, self.b
         m = self.main_qubits
-        own = 1 if self._check else 0
-        a_flag_base = m + own
-        b_flag_base = a_flag_base + a.persistent_ancillas
-        scratch_base = b_flag_base + b.persistent_ancillas
-
-        gates = embed_gates(b, range(b.main_qubits), b_flag_base, scratch_base)
+        lay = Layout(m, int(self._check), self.children)
+        gates = lay.embed(1)
 
         mid_out = b.subspace_out.pad_to(m)
         mid_in = a.subspace_in.pad_to(m)
@@ -210,16 +206,12 @@ class Product(Node):
 
         memb_scr = 0
         if self._check:
-            pool = ScratchPool(scratch_base)
+            pool = ScratchPool(lay.scratch_base)
             gates.extend(membership_flip_gates(mid_in, 0, m, pool))
             memb_scr = pool.peak
 
-        gates.extend(embed_gates(a, range(a.main_qubits), a_flag_base, scratch_base))
-
-        pers = own + a.persistent_ancillas + b.persistent_ancillas
-        scr_a = a.ancilla_count - a.persistent_ancillas
-        scr_b = b.ancilla_count - b.persistent_ancillas
-        return gates, pers, max(scr_a, scr_b, memb_scr)
+        gates.extend(lay.embed(0))
+        return gates, lay.persistent, max(lay.child_scratch, memb_scr)
 
     def __repr__(self):
         return f"({self.a!r} @ {self.b!r})"
@@ -277,18 +269,9 @@ class Tensor(Node):
         return self.a.exact_backward and self.b.exact_backward
 
     def _parts(self):
-        a, b = self.a, self.b
-        mb, ma = b.main_qubits, a.main_qubits
-        m = ma + mb
-        a_flag_base = m
-        b_flag_base = m + a.persistent_ancillas
-        scratch_base = b_flag_base + b.persistent_ancillas
-        gates = embed_gates(b, range(mb), b_flag_base, scratch_base)
-        gates += embed_gates(a, range(mb, m), a_flag_base, scratch_base)
-        pers = a.persistent_ancillas + b.persistent_ancillas
-        scr_a = a.ancilla_count - a.persistent_ancillas
-        scr_b = b.ancilla_count - b.persistent_ancillas
-        return gates, pers, max(scr_a, scr_b)
+        mb = self.b.main_qubits
+        lay = Layout(self.a.main_qubits + mb, 0, self.children)
+        return lay.embed(1) + lay.embed(0, mb), lay.persistent, lay.child_scratch
 
     def __repr__(self):
         return f"({self.a!r} & {self.b!r})"
@@ -353,10 +336,7 @@ class BlockDiagonal(Node):
         m = selector + 1
         ga, gb = a.normalization, b.normalization
         subnorm = ga != gb
-        own = 1 if subnorm else 0
-        a_flag_base = m + own
-        b_flag_base = a_flag_base + a.persistent_ancillas
-        scratch_base = b_flag_base + b.persistent_ancillas
+        lay = Layout(m, int(subnorm), self.children)
 
         gates = []
         if subnorm:
@@ -364,19 +344,13 @@ class BlockDiagonal(Node):
             polarity = 0 if ga < gb else 1
             gates.append(ry(2 * math.acos(ratio), m, [(selector, polarity)]))
 
-        gates += [g.with_control(selector, 1)
-                  for g in embed_gates(b, range(b.main_qubits), b_flag_base, scratch_base)]
-        a_gates = [g.with_control(selector, 1)
-                   for g in embed_gates(a, range(a.main_qubits), a_flag_base, scratch_base)]
+        gates += lay.embed(1, controls=((selector, 1),))
+        a_gates = lay.embed(0, controls=((selector, 1),))
         if a_gates:
             gates.append(Gate("X", (selector,)))
             gates += a_gates
             gates.append(Gate("X", (selector,)))
-
-        pers = own + a.persistent_ancillas + b.persistent_ancillas
-        scr_a = a.ancilla_count - a.persistent_ancillas
-        scr_b = b.ancilla_count - b.persistent_ancillas
-        return gates, pers, max(scr_a, scr_b)
+        return gates, lay.persistent, lay.child_scratch
 
     def __repr__(self):
         return f"({self.a!r} | {self.b!r})"

@@ -179,8 +179,10 @@ def parse_node(obj) -> Node:
         if op == "constant_vector":
             return ConstantVector([_num_from_json(v) for v in obj["entries"]])
         if op == "permutation":
-            sub = parse_subspace(obj["subspace"]) if "subspace" in obj else None
-            return Permutation(obj["table"], sub)
+            table = obj["table"]
+            sub = (parse_subspace(obj["subspace"]) if "subspace" in obj
+                   else Subspace.from_dim(len(table)))
+            return Permutation(table, sub)
         if op == "projection":
             return Projection(parse_subspace(obj["subspace"]),
                               int(obj["keep_out"]), int(obj["keep_in"]))
@@ -218,7 +220,7 @@ def parse_node(obj) -> Node:
                                  delta=params.get("delta"))
     except GraphFormatError:
         raise
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad fields for op {op!r}: {exc}") from exc
     raise GraphFormatError(f"unknown op {op!r}")
 

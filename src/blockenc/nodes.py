@@ -8,7 +8,10 @@ the encoded block; `verify` cross-checks the two paths column by column.
 Ancilla register layout of every node's circuit: persistent flags first (they
 must be |0> in the accepted output sector and are never reused), then scratch
 (compute-uncompute qubits restored to |0> on every basis input, shared by
-sequential children in stack fashion).
+sequential children in stack fashion).  Composites place their children with
+`Layout`, the one implementation of this rule: the composite's own flags,
+then each child's flag block in child order (`a` before `b`), then the shared
+scratch; `Layout.embed` relabels each child gate once.
 """
 from __future__ import annotations
 
@@ -423,22 +426,33 @@ class ProxyNode(Wrapper):
         return self.expansion
 
 
-def embed_gates(child: Node, main_map, flag_base: int, scratch_base: int) -> list[Gate]:
-    """Relocate a child's circuit into a parent register.
+class Layout:
+    """Register layout of a composite over `children`: `main` main qubits,
+    then `own` flags of the composite, then the persistent flags of each child
+    in child order (`flags[i]` is child i's block), then scratch from
+    `scratch_base`, shared by all children."""
 
-    Child main qubit q goes to main_map[q]; child persistent ancillas go to a
-    reserved block at flag_base; child scratch goes to the shared area at
-    scratch_base.
-    """
-    circ = child.circuit()
-    p = child.persistent_ancillas
-    m = circ.main_qubits
-    mm = list(main_map)
+    def __init__(self, main: int, own: int, children: tuple[Node, ...]):
+        self.children = children
+        flags = []
+        base = main + own
+        for c in children:
+            flags.append(range(base, base + c.persistent_ancillas))
+            base = flags[-1].stop
+        self.flags = tuple(flags)
+        self.scratch_base = base
+        self.persistent = base - main
+        self.child_scratch = max(c.ancilla_count - c.persistent_ancillas for c in children)
 
-    def relabel(q):
-        if q < m:
-            return mm[q]
-        j = q - m
-        return flag_base + j if j < p else scratch_base + (j - p)
-
-    return [g.remapped(relabel) for g in circ.gates]
+    def embed(self, i: int, offset: int = 0,
+              controls: tuple[tuple[int, int], ...] = ()) -> list[Gate]:
+        """Child i's gates on this register, its main qubit q moved to
+        offset + q, with `controls` appended to every gate."""
+        circ = self.children[i].circuit()
+        flags = self.flags[i]
+        to = (*range(offset, offset + circ.main_qubits), *flags,
+              *range(self.scratch_base,
+                     self.scratch_base + circ.ancilla_qubits - len(flags)))
+        return [Gate(g.kind, tuple(to[q] for q in g.targets),
+                     tuple((to[q], b) for q, b in g.controls) + controls, g.param, g.table)
+                for g in circ.gates]

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .circuits import Gate, global_phase, h, rz
 from .composites import Scale
-from .nodes import BudgetExceededError, Node, ProxyNode, embed_gates
+from .nodes import BudgetExceededError, Layout, Node, ProxyNode
 from .subspaces import ScratchPool, membership_flip_gates
 
 _MARGIN = 1e-3
@@ -256,8 +256,14 @@ class SingularValueTransform(Node):
         else:
             s = 1.0
         self._rescale = s
-        self.phase_vector = solve_phases(target if s == 1.0 else target.scaled(s),
-                                         solver_tol)
+        self._solver_tol = solver_tol
+
+    @cached_property
+    def phase_vector(self) -> PhaseVector:
+        """Phases of the rescaled target, solved on first use (lowering)."""
+        s = self._rescale
+        return solve_phases(self.target if s == 1.0 else self.target.scaled(s),
+                            self._solver_tol)
 
     @property
     def phase_residual(self) -> float:
@@ -307,20 +313,17 @@ class SingularValueTransform(Node):
             psi[j] -= (math.pi / 4) * ((j > 0) + (j < d))
 
         lcu = m
-        a_flag_base = m + 1
-        a_pers = a.persistent_ancillas
-        rot = a_flag_base + a_pers
-        pool_base = rot + 1
-        a_flags = range(a_flag_base, a_flag_base + a_pers)
+        lay = Layout(m, 1, self.children)
+        rot = lay.scratch_base
 
-        fwd = embed_gates(a, range(a.main_qubits), a_flag_base, rot)
+        fwd = lay.embed(0)
         bwd = [g.inverse() for g in reversed(fwd)]
         memb_peak = 0
 
         def phase_step(angle, space):
             nonlocal memb_peak
-            pool = ScratchPool(pool_base)
-            mark = membership_flip_gates(space, 0, rot, pool, zero_qubits=a_flags)
+            pool = ScratchPool(rot + 1)
+            mark = membership_flip_gates(space, 0, rot, pool, zero_qubits=lay.flags[0])
             memb_peak = max(memb_peak, pool.peak)
             return (mark
                     + [Gate("X", (rot,), ((lcu, 1),)),
@@ -340,8 +343,7 @@ class SingularValueTransform(Node):
             gates.append(global_phase(-d * math.pi / 2, [(lcu, 1)]))
         gates.append(h(lcu))
 
-        scr_a = a.ancilla_count - a_pers
-        return gates, 1 + a_pers, max(scr_a, 1 + memb_peak)
+        return gates, lay.persistent, max(lay.child_scratch, 1 + memb_peak)
 
     def __repr__(self):
         return (f"SingularValueTransform({self.a!r}, degree={self.target.degree}, "

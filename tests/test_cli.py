@@ -7,6 +7,8 @@ import blockenc as be
 from blockenc import graphs
 from blockenc.cli import demo_convolution, demo_increment, demo_laplace, main
 
+from corpus import build_corpus
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -68,6 +70,12 @@ class TestVerify:
         p.write_text("{\"version\": 1}")
         rc, _, err = run(capsys, "verify", str(p))
         assert rc == 2 and "root" in err
+
+    def test_bad_fields_name_the_file_and_op(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"version": 1, "root": {"op": "increment", "bits": 0}}))
+        rc, _, err = run(capsys, "verify", str(p))
+        assert rc == 2 and err.startswith(f"error: {p}: bad fields for op 'increment': ")
 
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "verify", "/nonexistent/graph.json")
@@ -185,6 +193,7 @@ class TestGraphFormats:
             be.Increment(1) | be.QFT(1),
             be.Increment(2) + be.QFT(2),
             be.Increment(2)[1:4, 0:3],
+            be.Identity(dim=5)[1:, :],
             be.SingularValueTransform(be.Increment(2),
                                       be.TargetPolynomial.chebyshev([0, 0.4, 0, 0.3])),
             be.Pseudoinverse(be.Identity(dim=2), 1.0, 0.05),
@@ -194,6 +203,13 @@ class TestGraphFormats:
             back = graphs.parse_document(json.loads(json.dumps(doc)))
             assert np.max(np.abs(back.toarray() - node.toarray())) <= 1e-12, doc["root"]["op"]
             assert back.resources() == node.resources(), doc["root"]["op"]
+
+    def test_corpus_documents_round_trip(self):
+        for seed in range(300):
+            pool, made = build_corpus(seed)
+            for i, (node, _) in enumerate(pool + made):
+                doc = graphs.document(node)
+                assert graphs.document(graphs.parse_document(doc)) == doc, (seed, i)
 
     def test_slice_op_parses(self):
         doc = {"version": 1,

@@ -240,6 +240,65 @@ class TestSharedCircuits:
         assert node.persistent_ancillas == node.expansion.persistent_ancillas
 
 
+class TestRegisterLayout:
+    """Exact placement: main qubits, own flags, each child's flags in child
+    order (a before b), then scratch shared by the children.  Verify and gate
+    counts cannot tell swapped flag blocks apart; these gate tuples can."""
+
+    @staticmethod
+    def checked():
+        # 2 main qubits; flag on local qubit 2, membership scratch on local 3
+        return Product(be.Identity(dim=3), be.Identity(dim=3), exact=False)
+
+    @staticmethod
+    def layout(node):
+        circ = node.circuit()
+        return ((circ.main_qubits, circ.ancilla_qubits, node.persistent_ancillas),
+                [(g.kind, g.targets, g.controls) for g in circ.gates])
+
+    @staticmethod
+    def member(flag, scratch, extra=()):
+        """The checked node's gates with its flag and scratch relabelled."""
+        return [("X", (flag,), extra),
+                ("X", (scratch,), ((1, 0),) + extra),
+                ("X", (scratch,), ((1, 1), (0, 0)) + extra),
+                ("X", (flag,), ((scratch, 1),) + extra),
+                ("X", (scratch,), ((1, 1), (0, 0)) + extra),
+                ("X", (scratch,), ((1, 0),) + extra)]
+
+    def test_checked_product(self):
+        # own check flag 2, a's flag 3, b's flag 4, shared scratch 5
+        sizes, gates = self.layout(Product(self.checked(), ZeroMatrix(3, 3)))
+        assert sizes == (2, 4, 3)
+        assert gates == [("X", (4,), ())] + self.member(2, 5) + self.member(3, 5)
+
+    def test_subnormalized_block_diagonal(self):
+        # selector 2, own sub-normalization flag 3, a's flag 4, b's flag 5, scratch 6
+        sizes, gates = self.layout(be.BlockDiagonal(self.checked(), 2 * ZeroMatrix(3, 3)))
+        assert sizes == (3, 4, 3)
+        assert gates == ([("RY", (3,), ((2, 0),)), ("X", (5,), ((2, 1),)), ("X", (2,), ())]
+                         + self.member(4, 6, ((2, 1),)) + [("X", (2,), ())])
+
+    def test_tensor(self):
+        # b on main 0-1, a on main 2-3; a's flag 4, b's flag 5, scratch 6
+        sizes, gates = self.layout(be.Tensor(self.checked(), ZeroMatrix(3, 3)))
+        assert sizes == (4, 3, 2)
+        assert gates == [("X", (5,), ()), ("X", (4,), ()),
+                         ("X", (6,), ((3, 0),)), ("X", (6,), ((3, 1), (2, 0))),
+                         ("X", (4,), ((6, 1),)), ("X", (6,), ((3, 1), (2, 0))),
+                         ("X", (6,), ((3, 0),))]
+
+    def test_singular_value_transform(self):
+        # own LCU flag 2, child's flag 3, rotation qubit 4 (which is also
+        # where the child's scratch starts), membership scratch 5
+        node = be.SingularValueTransform(self.checked(), be.TargetPolynomial.chebyshev([0, 0.5]))
+        sizes, gates = self.layout(node)
+        assert sizes == (2, 4, 2)
+        assert gates[:5] == [("H", (2,), ()), ("X", (4,), ()), ("X", (5,), ((1, 0),)),
+                             ("X", (5,), ((1, 1), (0, 0))), ("X", (4,), ((3, 0), (5, 1)))]
+        assert gates[16:22] == self.member(3, 4)
+
+
 class TestSlicing:
     def test_numpy_slice_oracle(self):
         rng = np.random.default_rng(17)

@@ -252,6 +252,15 @@ class TestPseudoinverse:
         assert node.delta == 1.0
         assert np.max(np.abs(node.toarray() - np.eye(2))) < 0.05
 
+    def test_phases_are_solved_on_lowering_only(self):
+        a = be.Identity(dim=4) + 0.5 * be.Increment(2)
+        solve_phases.cache_clear()
+        x = be.Pseudoinverse(a, condition=3.0, tolerance=0.05) @ be.ConstantVector([1, 2, 3, 4])
+        x.toarray()
+        assert solve_phases.cache_info().misses == 0
+        x.circuit()
+        assert solve_phases.cache_info().misses == 1
+
     def test_budget_failure_needs_delta(self):
         old = be.get_budget()
         try:
