@@ -1,15 +1,21 @@
 """JSON interchange for block-encoding graphs.
 
 A graph document is {"version": 1, "root": <node>, "metadata": {...}}.
-Node forms are either primitive ({"op": "increment", "bits": 2}) or composite
-({"op": "matmul", "args": [...], "params": {...}}).  Dumping and re-parsing a
-document reproduces the node (same dense matrix, same resource report).
+A node is {"op": <name>, <fields>..., "args": [<children>], "params": {...}}
+in that key order, without `args` on leaves or an empty `params`.  `OPS` has
+one row per op, which both the writer and the reader follow.  Dumping and
+re-parsing a document reproduces the node (same dense matrix, same resource
+report).
 """
 from __future__ import annotations
 
+import operator
+from typing import Callable, NamedTuple
+
 import numpy as np
 
-from .composites import Add, Adjoint, BlockDiagonal, Product, Scale, Tensor, ZeroMatrix
+from .composites import (Add, Adjoint, BlockDiagonal, Product, Scale, Tensor, ZeroMatrix,
+                         add, scale)
 from .nodes import Node
 from .primitives import (
     ConstantIntegerAddition,
@@ -96,133 +102,164 @@ def vector_from_json(obj) -> np.ndarray:
 
 # -- nodes ---------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _int(v) -> int:
+    """A JSON integer, or a float with an integral value."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"not an integer: {v!r}")
+
+
+def _bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"not a boolean: {v!r}")
+    return v
+
+
+def _slice(v) -> slice:
+    return slice(*v) if v else slice(None)
+
+
+class Field(NamedTuple):
+    """The value under `key` (in `params` if `param`): `read` maps it to a
+    constructor argument, `write` maps a node to it (default: the attribute
+    `key`; None leaves the key out).  A field with a `default` may be absent."""
+
+    key: str
+    read: Callable = lambda v: v
+    write: Callable | None = None
+    param: bool = False
+    default: object = _REQUIRED
+
+    def value(self, node: Node):
+        return self.write(node) if self.write else getattr(node, self.key)
+
+    def parse(self, obj: dict, params: dict):
+        src = params if self.param else obj
+        if self.key in src:
+            return self.read(src[self.key])
+        if self.default is _REQUIRED:
+            raise KeyError(self.key)
+        return self.default
+
+
+class Op(NamedTuple):
+    """The class an op writes (None: read only), its number of args, its fields,
+    and `build` (default: the class), called with the args, then the fields."""
+
+    cls: type | None
+    args: int = 0
+    fields: tuple[Field, ...] = ()
+    build: Callable | None = None
+
+
+def _permutation(table, subspace):
+    return Permutation(table, Subspace.from_dim(len(table)) if subspace is None else subspace)
+
+
+def _permutation_subspace(node):
+    if node.subspace_in == Subspace.from_dim(len(node.table)):
+        return None
+    return subspace_to_json(node.subspace_in)
+
+
+def _qsvt(a, coefficients, parity):
+    return SingularValueTransform(a, TargetPolynomial.chebyshev(coefficients, parity))
+
+
+def _product_exact(node):
+    if node._forced:
+        return True
+    if node._check and node.b.exact_forward:
+        return False
+    return None
+
+
+OPS: dict[str, Op] = {
+    "identity": Op(Identity, fields=(
+        Field("subspace", parse_subspace, lambda n: subspace_to_json(n.subspace_in),
+              default=None),
+        Field("dim", _int, lambda n: None, default=None))),  # read only
+    "increment": Op(Increment, fields=(Field("bits", _int),)),
+    "constant_integer_addition": Op(ConstantIntegerAddition, fields=(
+        Field("bits", _int), Field("constant", _int))),
+    "integer_addition": Op(IntegerAddition, fields=(
+        Field("source_bits", _int), Field("target_bits", _int))),
+    "qft": Op(QFT, fields=(Field("bits", _int),)),
+    "constant_vector": Op(ConstantVector, fields=(
+        Field("entries", lambda v: [_num_from_json(z) for z in v],
+              lambda n: [_num_to_json(z) for z in n.entries]),)),
+    "permutation": Op(Permutation, build=_permutation, fields=(
+        Field("table", lambda v: [_int(t) for t in v], lambda n: list(n.table)),
+        Field("subspace", parse_subspace, _permutation_subspace, default=None))),
+    "projection": Op(Projection, fields=(
+        Field("subspace", parse_subspace, lambda n: subspace_to_json(n.parent)),
+        Field("keep_out", _int), Field("keep_in", _int))),
+    "zero": Op(ZeroMatrix, fields=(
+        Field("dim_out", _int, param=True), Field("dim_in", _int, param=True))),
+    "adjoint": Op(Adjoint, args=1),
+    "scale": Op(Scale, args=1, build=lambda a, factor: scale(factor, a), fields=(
+        Field("factor", _num_from_json, lambda n: _num_to_json(n.factor), param=True),)),
+    "matmul": Op(Product, args=2, fields=(
+        Field("exact", _bool, _product_exact, param=True, default="auto"),)),
+    "tensor": Op(Tensor, args=2),
+    "blockdiag": Op(BlockDiagonal, args=2),
+    "add": Op(Add, args=2, build=add),
+    "sub": Op(None, args=2, build=operator.sub),
+    "slice": Op(None, args=1, build=lambda a, rows, cols: a[rows, cols], fields=(
+        Field("rows", _slice, param=True, default=slice(None)),
+        Field("cols", _slice, param=True, default=slice(None)))),
+    "qsvt": Op(SingularValueTransform, args=1, build=_qsvt, fields=(
+        Field("chebyshev", write=lambda n: [float(c) for c in n.target.coefficients],
+              param=True),
+        Field("parity", write=lambda n: n.target.parity, param=True, default=None))),
+    "pseudoinverse": Op(Pseudoinverse, args=1, fields=(
+        Field("condition", param=True), Field("tolerance", param=True),
+        Field("delta", param=True, default=None))),
+}
+
+_OP_OF_CLASS = {row.cls: op for op, row in OPS.items() if row.cls is not None}
+
+
 def node_to_json(node: Node) -> dict:
-    if isinstance(node, Identity):
-        return {"op": "identity", "subspace": subspace_to_json(node.subspace_in)}
-    if isinstance(node, Increment):
-        return {"op": "increment", "bits": node.bits}
-    if isinstance(node, ConstantIntegerAddition):
-        return {"op": "constant_integer_addition", "bits": node.bits,
-                "constant": node.constant}
-    if isinstance(node, IntegerAddition):
-        return {"op": "integer_addition", "source_bits": node.source_bits,
-                "target_bits": node.target_bits}
-    if isinstance(node, QFT):
-        return {"op": "qft", "bits": node.bits}
-    if isinstance(node, ConstantVector):
-        return {"op": "constant_vector",
-                "entries": [_num_to_json(z) for z in node.entries]}
-    if isinstance(node, Permutation):
-        out = {"op": "permutation", "table": list(node.table)}
-        if node.subspace_in != Subspace.from_dim(len(node.table)):
-            out["subspace"] = subspace_to_json(node.subspace_in)
-        return out
-    if isinstance(node, Projection):
-        return {"op": "projection", "subspace": subspace_to_json(node.parent),
-                "keep_out": node.keep_out, "keep_in": node.keep_in}
-    if isinstance(node, ZeroMatrix):
-        return {"op": "zero", "params": {"dim_out": node.dim_out, "dim_in": node.dim_in}}
-    if isinstance(node, Adjoint):
-        return {"op": "adjoint", "args": [node_to_json(node.a)]}
-    if isinstance(node, Scale):
-        return {"op": "scale", "args": [node_to_json(node.a)],
-                "params": {"factor": _num_to_json(node.factor)}}
-    if isinstance(node, Product):
-        params = {}
-        if node._forced:
-            params["exact"] = True
-        elif node._check and node.b.exact_forward:
-            params["exact"] = False
-        out = {"op": "matmul", "args": [node_to_json(node.a), node_to_json(node.b)]}
-        if params:
-            out["params"] = params
-        return out
-    if isinstance(node, Tensor):
-        return {"op": "tensor", "args": [node_to_json(node.a), node_to_json(node.b)]}
-    if isinstance(node, BlockDiagonal):
-        return {"op": "blockdiag", "args": [node_to_json(node.a), node_to_json(node.b)]}
-    if isinstance(node, Add):
-        return {"op": "add", "args": [node_to_json(node.a), node_to_json(node.b)]}
-    if isinstance(node, SingularValueTransform):
-        return {"op": "qsvt", "args": [node_to_json(node.a)],
-                "params": {"chebyshev": [float(c) for c in node.target.coefficients],
-                           "parity": node.target.parity}}
-    if isinstance(node, Pseudoinverse):
-        return {"op": "pseudoinverse", "args": [node_to_json(node.a)],
-                "params": {"condition": node.condition, "tolerance": node.tolerance,
-                           "delta": node.delta}}
-    raise GraphFormatError(f"node type {type(node).__name__} has no JSON form")
+    op = next((_OP_OF_CLASS[c] for c in type(node).__mro__ if c in _OP_OF_CLASS), None)
+    if op is None:
+        raise GraphFormatError(f"node type {type(node).__name__} has no JSON form")
+    out, params = {"op": op}, {}
+    for f in OPS[op].fields:
+        value = f.value(node)
+        if value is not None:
+            (params if f.param else out)[f.key] = value
+    if node.children:
+        out["args"] = [node_to_json(c) for c in node.children]
+    if params:
+        out["params"] = params
+    return out
 
 
 def parse_node(obj) -> Node:
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise GraphFormatError(f"node must be an object with an 'op' field, got {obj!r}")
+    if not isinstance(obj, dict) or not isinstance(obj.get("op"), str):
+        raise GraphFormatError(f"node must be an object with a string 'op' field, got {obj!r}")
     op = obj["op"]
-    params = obj.get("params", {})
-
-    def arg(i):
-        return parse_node(obj["args"][i])
-
+    row = OPS.get(op)
+    if row is None:
+        raise GraphFormatError(f"unknown op {op!r}")
     try:
-        if op == "identity":
-            if "subspace" in obj:
-                return Identity(parse_subspace(obj["subspace"]))
-            return Identity(dim=int(obj["dim"]))
-        if op == "increment":
-            return Increment(int(obj["bits"]))
-        if op == "constant_integer_addition":
-            return ConstantIntegerAddition(int(obj["bits"]), int(obj["constant"]))
-        if op == "integer_addition":
-            return IntegerAddition(int(obj["source_bits"]), int(obj["target_bits"]))
-        if op == "qft":
-            return QFT(int(obj["bits"]))
-        if op == "constant_vector":
-            return ConstantVector([_num_from_json(v) for v in obj["entries"]])
-        if op == "permutation":
-            table = obj["table"]
-            sub = (parse_subspace(obj["subspace"]) if "subspace" in obj
-                   else Subspace.from_dim(len(table)))
-            return Permutation(table, sub)
-        if op == "projection":
-            return Projection(parse_subspace(obj["subspace"]),
-                              int(obj["keep_out"]), int(obj["keep_in"]))
-        if op == "zero":
-            return ZeroMatrix(int(params["dim_out"]), int(params["dim_in"]))
-        if op == "adjoint":
-            return Adjoint(arg(0))
-        if op == "scale":
-            from .composites import scale as scale_fn
-            return scale_fn(_num_from_json(params["factor"]), arg(0))
-        if op == "matmul":
-            return Product(arg(0), arg(1), exact=params.get("exact", "auto"))
-        if op == "tensor":
-            return Tensor(arg(0), arg(1))
-        if op == "blockdiag":
-            return BlockDiagonal(arg(0), arg(1))
-        if op == "add":
-            from .composites import add as add_fn
-            return add_fn(arg(0), arg(1))
-        if op == "sub":
-            return arg(0) - arg(1)
-        if op == "slice":
-            node = arg(0)
-            rows = params.get("rows")
-            cols = params.get("cols")
-            rs = slice(*rows) if rows else slice(None)
-            cs = slice(*cols) if cols else slice(None)
-            return node[rs, cs]
-        if op == "qsvt":
-            target = TargetPolynomial.chebyshev(params["chebyshev"],
-                                                params.get("parity"))
-            return SingularValueTransform(arg(0), target)
-        if op == "pseudoinverse":
-            return Pseudoinverse(arg(0), params["condition"], params["tolerance"],
-                                 delta=params.get("delta"))
+        args, params = obj.get("args", []), obj.get("params", {})
+        if not isinstance(args, list) or len(args) != row.args:
+            raise ValueError(f"expected a list of {row.args} args, got {args!r}")
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, got {params!r}")
+        values = [f.parse(obj, params) for f in row.fields]
+        return (row.build or row.cls)(*(parse_node(a) for a in args), *values)
     except GraphFormatError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad fields for op {op!r}: {exc}") from exc
-    raise GraphFormatError(f"unknown op {op!r}")
 
 
 def document(root: Node, metadata: dict | None = None) -> dict:

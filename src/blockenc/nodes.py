@@ -180,30 +180,18 @@ class Node:
         return out
 
     # -- derived, cached ---------------------------------------------------
-    @property
+    @cached_property
     def main_qubits(self) -> int:
-        cached = getattr(self, "_main_qubits", None)
-        if cached is None:
-            si, so = self._raw_subspaces()
-            cached = max(si.qubit_count, so.qubit_count)
-            self._main_qubits = cached
-        return cached
+        si, so = self._raw_subspaces()
+        return max(si.qubit_count, so.qubit_count)
 
-    @property
+    @cached_property
     def subspace_in(self) -> Subspace:
-        cached = getattr(self, "_sub_in", None)
-        if cached is None:
-            cached = self._raw_subspaces()[0].pad_to(self.main_qubits)
-            self._sub_in = cached
-        return cached
+        return self._raw_subspaces()[0].pad_to(self.main_qubits)
 
-    @property
+    @cached_property
     def subspace_out(self) -> Subspace:
-        cached = getattr(self, "_sub_out", None)
-        if cached is None:
-            cached = self._raw_subspaces()[1].pad_to(self.main_qubits)
-            self._sub_out = cached
-        return cached
+        return self._raw_subspaces()[1].pad_to(self.main_qubits)
 
     @property
     def dim_in(self) -> int:
@@ -238,17 +226,18 @@ class Node:
         return self.circuit().ancilla_qubits
 
     # -- evaluation ---------------------------------------------------------
+    @cached_property
+    def _array(self) -> np.ndarray:
+        b = get_budget()
+        if self.dim_in > b.max_dim or self.dim_out > b.max_dim:
+            raise BudgetExceededError(
+                f"dense matrix {self.dim_out}x{self.dim_in} exceeds budget {b.max_dim}")
+        out = self.compute(np.eye(self.dim_in, dtype=complex))
+        out.setflags(write=False)
+        return out
+
     def toarray(self) -> np.ndarray:
-        cached = getattr(self, "_array", None)
-        if cached is None:
-            b = get_budget()
-            if self.dim_in > b.max_dim or self.dim_out > b.max_dim:
-                raise BudgetExceededError(
-                    f"dense matrix {self.dim_out}x{self.dim_in} exceeds budget {b.max_dim}")
-            cached = self.compute(np.eye(self.dim_in, dtype=complex))
-            cached.setflags(write=False)
-            self._array = cached
-        return cached
+        return self._array
 
     def simulate(self, v: np.ndarray) -> np.ndarray:
         """Circuit-path evaluation: embed, run the lowered circuit, project, rescale.

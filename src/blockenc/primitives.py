@@ -21,16 +21,25 @@ def _as_subspace(subspace=None, dim=None) -> Subspace:
     return Subspace.from_dim(dim)
 
 
-class Identity(Node):
-    """gamma = 1, empty circuit, equal input and output subspaces."""
+class _Unitary(Node):
+    """A leaf whose circuit is a unitary on the whole of its subspace `_s`:
+    equal input and output subspaces, normalization 1, exact both ways."""
 
-    def __init__(self, subspace=None, dim=None):
-        self._s = _as_subspace(subspace, dim)
+    _s: Subspace
 
     def _raw_subspaces(self):
         return self._s, self._s
 
     normalization = 1.0
+    exact_forward = True
+    exact_backward = True
+
+
+class Identity(_Unitary):
+    """gamma = 1, empty circuit, equal input and output subspaces."""
+
+    def __init__(self, subspace=None, dim=None):
+        self._s = _as_subspace(subspace, dim)
 
     def compute(self, v):
         return np.asarray(v, dtype=complex)
@@ -40,14 +49,11 @@ class Identity(Node):
     def _parts(self):
         return [], 0, 0
 
-    exact_forward = True
-    exact_backward = True
-
     def __repr__(self):
         return f"Identity(dim={self._s.dim})"
 
 
-class Increment(Node):
+class Increment(_Unitary):
     """|k> -> |k + 1 mod 2^n> on the full n-qubit space."""
 
     def __init__(self, bits: int):
@@ -55,11 +61,6 @@ class Increment(Node):
             raise ValueError("bits must be >= 1")
         self.bits = bits
         self._s = Subspace("#" * bits)
-
-    def _raw_subspaces(self):
-        return self._s, self._s
-
-    normalization = 1.0
 
     def compute(self, v):
         return np.roll(np.asarray(v, dtype=complex), 1, axis=0)
@@ -69,9 +70,6 @@ class Increment(Node):
 
     def _parts(self):
         return list(_increment_gates(range(self.bits))), 0, 0
-
-    exact_forward = True
-    exact_backward = True
 
     def __repr__(self):
         return f"Increment(bits={self.bits})"
@@ -88,7 +86,7 @@ def _increment_gates(qubits, controls=()):
     return gates
 
 
-class ConstantIntegerAddition(Node):
+class ConstantIntegerAddition(_Unitary):
     """|b> -> |b + c mod 2^n>; evaluated directly as a cyclic roll."""
 
     def __init__(self, bits: int, constant: int):
@@ -97,11 +95,6 @@ class ConstantIntegerAddition(Node):
         self.bits = bits
         self.constant = int(constant)
         self._s = Subspace("#" * bits)
-
-    def _raw_subspaces(self):
-        return self._s, self._s
-
-    normalization = 1.0
 
     def compute(self, v):
         return np.roll(np.asarray(v, dtype=complex), self.constant, axis=0)
@@ -117,14 +110,11 @@ class ConstantIntegerAddition(Node):
                 gates.extend(_increment_gates(range(j, self.bits)))
         return gates, 0, 0
 
-    exact_forward = True
-    exact_backward = True
-
     def __repr__(self):
         return f"ConstantIntegerAddition(bits={self.bits}, constant={self.constant})"
 
 
-class IntegerAddition(Node):
+class IntegerAddition(_Unitary):
     """|a>_s |b>_t -> |a>_s |b + a mod 2^t>_t, source block more significant."""
 
     def __init__(self, source_bits: int, target_bits: int):
@@ -133,11 +123,6 @@ class IntegerAddition(Node):
         self.source_bits = source_bits
         self.target_bits = target_bits
         self._s = Subspace("#" * (source_bits + target_bits))
-
-    def _raw_subspaces(self):
-        return self._s, self._s
-
-    normalization = 1.0
 
     def _sources(self, shift: int) -> np.ndarray:
         """Row a*T + b of the result reads row a*T + (b + shift*a mod T)."""
@@ -159,14 +144,11 @@ class IntegerAddition(Node):
             gates.extend(_increment_gates(range(j, t), controls=((t + j, 1),)))
         return gates, 0, 0
 
-    exact_forward = True
-    exact_backward = True
-
     def __repr__(self):
         return f"IntegerAddition(source_bits={self.source_bits}, target_bits={self.target_bits})"
 
 
-class QFT(Node):
+class QFT(_Unitary):
     """Discrete Fourier transform block: entries omega^(jk) / sqrt(2^n)."""
 
     def __init__(self, bits: int):
@@ -174,11 +156,6 @@ class QFT(Node):
             raise ValueError("bits must be >= 1")
         self.bits = bits
         self._s = Subspace("#" * bits)
-
-    def _raw_subspaces(self):
-        return self._s, self._s
-
-    normalization = 1.0
 
     def compute(self, v):
         v = np.asarray(v, dtype=complex)
@@ -198,9 +175,6 @@ class QFT(Node):
         for q in range(n // 2):
             gates.append(swap(q, n - 1 - q))
         return gates, 0, 0
-
-    exact_forward = True
-    exact_backward = True
 
     def __repr__(self):
         return f"QFT(bits={self.bits})"
@@ -272,7 +246,7 @@ class ConstantVector(Node):
         return f"ConstantVector(len={self.entries.size})"
 
 
-class Permutation(Node):
+class Permutation(_Unitary):
     """Relabels basis indices; a single PermutationGate in the circuit.
 
     With a subspace the table acts on that subspace's enumerated basis and the
@@ -292,11 +266,6 @@ class Permutation(Node):
         self.table = tuple(table)
         self._s = subspace
 
-    def _raw_subspaces(self):
-        return self._s, self._s
-
-    normalization = 1.0
-
     def compute(self, v):
         v = np.asarray(v, dtype=complex)
         out = np.empty_like(v)
@@ -309,9 +278,6 @@ class Permutation(Node):
     def _parts(self):
         m = self._s.qubit_count
         return [permutation(register_table(self._s, self.table), range(m))], 0, 0
-
-    exact_forward = True
-    exact_backward = True
 
     def __repr__(self):
         return f"Permutation(dim={len(self.table)})"

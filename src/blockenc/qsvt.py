@@ -244,7 +244,7 @@ class SingularValueTransform(Node):
     function is the real part.  Arithmetic path: dense SVD.
     """
 
-    def __init__(self, a: Node, target: TargetPolynomial, solver_tol: float = 1e-8):
+    def __init__(self, a: Node, target: TargetPolynomial):
         if target.parity == "odd" and target.degree == 0:
             raise ValueError("odd target must have degree >= 1")
         self.a = a
@@ -256,14 +256,12 @@ class SingularValueTransform(Node):
         else:
             s = 1.0
         self._rescale = s
-        self._solver_tol = solver_tol
 
     @cached_property
     def phase_vector(self) -> PhaseVector:
         """Phases of the rescaled target, solved on first use (lowering)."""
         s = self._rescale
-        return solve_phases(self.target if s == 1.0 else self.target.scaled(s),
-                            self._solver_tol)
+        return solve_phases(self.target if s == 1.0 else self.target.scaled(s))
 
     @property
     def phase_residual(self) -> float:
@@ -278,28 +276,24 @@ class SingularValueTransform(Node):
     def normalization(self) -> float:
         return 1.0 / self._rescale
 
+    @cached_property
     def _transformed(self) -> np.ndarray:
-        cached = getattr(self, "_tf", None)
-        if cached is None:
-            block = self.a.toarray() / self.a.normalization
-            u, svals, vh = np.linalg.svd(block)
-            if self.target.parity == "odd":
-                r = len(svals)
-                cached = (u[:, :r] * self.target(svals)) @ vh[:r, :]
-            else:
-                n_in = block.shape[1]
-                padded = np.zeros(n_in)
-                padded[: len(svals)] = svals
-                v = vh.conj().T
-                cached = (v * self.target(padded)) @ vh
-            self._tf = cached
-        return cached
+        block = self.a.toarray() / self.a.normalization
+        u, svals, vh = np.linalg.svd(block)
+        if self.target.parity == "odd":
+            r = len(svals)
+            return (u[:, :r] * self.target(svals)) @ vh[:r, :]
+        n_in = block.shape[1]
+        padded = np.zeros(n_in)
+        padded[: len(svals)] = svals
+        v = vh.conj().T
+        return (v * self.target(padded)) @ vh
 
     def compute(self, v):
-        return self._transformed() @ np.asarray(v, dtype=complex)
+        return self._transformed @ np.asarray(v, dtype=complex)
 
     def adjoint_compute(self, w):
-        return self._transformed().conj().T @ np.asarray(w, dtype=complex)
+        return self._transformed.conj().T @ np.asarray(w, dtype=complex)
 
     def _parts(self):
         a = self.a
@@ -419,7 +413,7 @@ class Pseudoinverse(ProxyNode):
     (smallest singular value)/(2x), rescaled back by 2/(delta*gamma)."""
 
     def __init__(self, a: Node, condition: float, tolerance: float,
-                 delta: float | None = None, solver_tol: float = 1e-8):
+                 delta: float | None = None):
         if condition < 1:
             raise ValueError("condition must be >= 1")
         if not 0 < tolerance < 1:
@@ -428,7 +422,6 @@ class Pseudoinverse(ProxyNode):
         self.children = (a,)
         self.condition = float(condition)
         self.tolerance = float(tolerance)
-        self._solver_tol = solver_tol
         if delta is None:
             try:
                 block = a.toarray() / a.normalization
@@ -454,7 +447,7 @@ class Pseudoinverse(ProxyNode):
     def _expand(self):
         # the transform applies on the adjoint: p^SV(block^H) = V p(S) U^H,
         # which for p(x) ~ delta/(2x) recovers V S^-1 U^H, the inverse direction
-        svt = SingularValueTransform(self.a.adjoint(), self._target, self._solver_tol)
+        svt = SingularValueTransform(self.a.adjoint(), self._target)
         factor = 2.0 * self._comp / (self.delta * self.a.normalization)
         return Scale(factor, svt)
 

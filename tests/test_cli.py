@@ -10,6 +10,10 @@ from blockenc.cli import demo_convolution, demo_increment, demo_laplace, main
 from corpus import build_corpus
 
 
+INC = {"op": "increment", "bits": 2}
+QFT = {"op": "qft", "bits": 2}
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
@@ -73,9 +77,14 @@ class TestVerify:
 
     def test_bad_fields_name_the_file_and_op(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"version": 1, "root": {"op": "increment", "bits": 0}}))
-        rc, _, err = run(capsys, "verify", str(p))
-        assert rc == 2 and err.startswith(f"error: {p}: bad fields for op 'increment': ")
+        for root in [{"op": "increment", "bits": 0},
+                     {"op": "increment", "bits": 2.7},
+                     {"op": "adjoint", "args": [INC, QFT]},
+                     {"op": "matmul", "args": [INC, QFT], "params": 5},
+                     {"op": "matmul", "args": [INC, QFT], "params": {"exact": "yes"}}]:
+            p.write_text(json.dumps({"version": 1, "root": root}))
+            rc, _, err = run(capsys, "verify", str(p))
+            assert rc == 2 and err.startswith(f"error: {p}: bad fields for op {root['op']!r}: ")
 
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "verify", "/nonexistent/graph.json")
@@ -198,11 +207,19 @@ class TestGraphFormats:
                                       be.TargetPolynomial.chebyshev([0, 0.4, 0, 0.3])),
             be.Pseudoinverse(be.Identity(dim=2), 1.0, 0.05),
         ]
+        written = set()
         for node in nodes:
             doc = graphs.document(node)
             back = graphs.parse_document(json.loads(json.dumps(doc)))
             assert np.max(np.abs(back.toarray() - node.toarray())) <= 1e-12, doc["root"]["op"]
             assert back.resources() == node.resources(), doc["root"]["op"]
+            stack = [doc["root"]]
+            while stack:
+                obj = stack.pop()
+                written.add(obj["op"])
+                stack += obj.get("args", [])
+        # every form the table writes has a case above
+        assert written == {op for op, row in graphs.OPS.items() if row.cls is not None}
 
     def test_corpus_documents_round_trip(self):
         for seed in range(300):
@@ -220,5 +237,10 @@ class TestGraphFormats:
         assert np.array_equal(node.toarray(), want)
 
     def test_unknown_op(self):
-        with pytest.raises(graphs.GraphFormatError):
-            graphs.parse_node({"op": "teleport"})
+        for obj in [{"op": "teleport"}, {"op": ["x"]}]:
+            with pytest.raises(graphs.GraphFormatError):
+                graphs.parse_node(obj)
+
+    def test_integral_float_is_an_integer(self):
+        node = graphs.parse_node({"op": "increment", "bits": 2.0})
+        assert node.bits == 2 and isinstance(node.bits, int)

@@ -223,15 +223,18 @@ class TestCachesAndBudget:
         assert node.subspace_in is node.subspace_in
 
     def test_budget_guards(self):
+        node = be.Increment(3)
         old = get_budget()
         try:
             set_budget(Budget(max_amplitudes=4, max_dim=2))
             with pytest.raises(BudgetExceededError):
-                be.Increment(3).toarray()
+                node.toarray()
             with pytest.raises(BudgetExceededError):
-                be.Increment(3).simulate(np.zeros(8, dtype=complex))
+                node.simulate(np.zeros(8, dtype=complex))
         finally:
             set_budget(old)
+        # a refused evaluation is not cached
+        assert np.array_equal(node.toarray(), np.roll(np.eye(8), 1, axis=0))
 
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("BE_BUDGET", "1024,64")
