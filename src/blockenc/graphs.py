@@ -84,12 +84,21 @@ def _num_to_json(z: complex):
     return [z.real, z.imag]
 
 
+def _real(v) -> float:
+    """A JSON number: an int or float, not a boolean."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    raise ValueError(f"not a real number: {v!r}")
+
+
 def _num_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise GraphFormatError(f"not a number: {v!r}")
+    """A JSON number, or a [real, imag] pair of them."""
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_real(v[0]), _real(v[1]))
+    return complex(_real(v))
 
 
 def vector_to_json(v) -> list:
@@ -97,6 +106,8 @@ def vector_to_json(v) -> list:
 
 
 def vector_from_json(obj) -> np.ndarray:
+    if not isinstance(obj, list):
+        raise ValueError(f"a vector must be a JSON list, got {obj!r}")
     return np.array([_num_from_json(v) for v in obj], dtype=complex)
 
 
@@ -218,8 +229,8 @@ OPS: dict[str, Op] = {
               param=True),
         Field("parity", write=lambda n: n.target.parity, param=True, default=None))),
     "pseudoinverse": Op(Pseudoinverse, args=1, fields=(
-        Field("condition", param=True), Field("tolerance", param=True),
-        Field("delta", param=True, default=None))),
+        Field("condition", _real, param=True), Field("tolerance", _real, param=True),
+        Field("delta", _real, param=True, default=None))),
 }
 
 _OP_OF_CLASS = {row.cls: op for op, row in OPS.items() if row.cls is not None}

@@ -11,7 +11,9 @@ branch that extracts the real part.
 """
 from __future__ import annotations
 
+import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -92,34 +94,27 @@ class PhaseVector:
         return len(self.phases) - 1
 
 
-def _signal(xs: np.ndarray) -> np.ndarray:
-    c = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    w = np.zeros((len(xs), 2, 2), dtype=complex)
-    w[:, 0, 0] = xs
-    w[:, 1, 1] = xs
-    w[:, 0, 1] = 1j * c
-    w[:, 1, 0] = 1j * c
-    return w
+def _prefix_rows(phases, xs):
+    """Top row (a, b) of P_j = exp(i phi_0 Z) W exp(i phi_1 Z) ... W exp(i phi_j Z)
+    at each sample point, for j = 0..d in turn.
+
+    Every factor lies in SU(2), so P_j = [[a, b], [-conj(b), conj(a)]] and two
+    numbers per point carry the whole product.
+    """
+    c = 1j * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+    e = cmath.exp(1j * phases[0])
+    a = np.full(len(xs), e)
+    b = np.zeros(len(xs), dtype=complex)
+    yield a, b
+    for phi in phases[1:]:
+        e = cmath.exp(1j * phi)
+        a, b = (a * xs + b * c) * e, (a * c + b * xs) * e.conjugate()
+        yield a, b
 
 
-def _qsp_suffixes(phases, xs):
-    """R[j] = exp(i phi_j Z) W ... W exp(i phi_d Z) for each sample point."""
-    d = len(phases) - 1
-    w = _signal(xs)
-    r = np.empty((d + 1, len(xs), 2, 2), dtype=complex)
-    cur = np.zeros((len(xs), 2, 2), dtype=complex)
-    e = np.exp(1j * phases[d])
-    cur[:, 0, 0] = e
-    cur[:, 1, 1] = e.conjugate()
-    r[d] = cur
-    for j in range(d - 1, -1, -1):
-        cur = w @ cur
-        e = np.exp(1j * phases[j])
-        cur = cur.copy()
-        cur[:, 0, :] *= e
-        cur[:, 1, :] *= e.conjugate()
-        r[j] = cur
-    return r
+def _top_row(phases, xs):
+    """Top row (A, B) of the whole sequence at each sample point."""
+    return deque(_prefix_rows(phases, xs), maxlen=1)[0]
 
 
 def realized_poly(phases, x):
@@ -130,31 +125,8 @@ def realized_poly(phases, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(xs) > 1 + 1e-12):
         raise ValueError("realized_poly is defined on [-1, 1]")
-    vals = _qsp_suffixes(phases, np.clip(xs, -1.0, 1.0))[0][:, 0, 0].real
+    vals = _top_row(phases, np.clip(xs, -1.0, 1.0))[0].real
     return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
-
-
-def _value_and_grad(phases, xs):
-    """Realized values and d(value)/d(phi_j) at each sample point."""
-    d = len(phases) - 1
-    w = _signal(xs)
-    r = _qsp_suffixes(phases, xs)
-    vals = r[0][:, 0, 0].real
-    grad = np.empty((len(xs), d + 1))
-    left = np.zeros((len(xs), 2, 2), dtype=complex)
-    left[:, 0, 0] = 1.0
-    left[:, 1, 1] = 1.0
-    for j in range(d + 1):
-        # derivative inserts iZ in front of R[j]
-        g = 1j * (left[:, 0, 0] * r[j][:, 0, 0] - left[:, 0, 1] * r[j][:, 1, 0])
-        grad[:, j] = g.real
-        if j < d:
-            e = np.exp(1j * phases[j])
-            step = left.copy()
-            step[:, :, 0] *= e
-            step[:, :, 1] *= e.conjugate()
-            left = step @ w
-    return vals, grad
 
 
 def _symmetric_full(vars_, d):
@@ -171,9 +143,11 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     """Phases whose realized function matches the target at Chebyshev nodes.
 
     Deterministic: fixed nodes, fixed start (zero symmetric phases plus the
-    pi/4 endpoint offsets), damped Gauss-Newton with a fixed schedule.  Pure
-    Chebyshev targets c*T_d are dispatched analytically.  The last 64
-    distinct calls are cached (`solve_phases.cache_info()` counts hits).
+    pi/4 endpoint offsets), plain Newton on the square system of k free
+    symmetric phases at k nodes, stopped by the first step that does not
+    lower the max residual.  Pure Chebyshev targets c*T_d are dispatched
+    analytically.  The last 64 distinct calls are cached
+    (`solve_phases.cache_info()` counts hits).
     """
     c = np.asarray(target.coefficients, dtype=float)
     d = target.degree
@@ -197,37 +171,32 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     k = (d + 2) // 2  # free symmetric phases = free coefficients of this parity
     xs = np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (4 * k))
     fx = target(xs)
-    vars_ = np.zeros(k)
-    lam = 1e-3
 
     def residual(v):
-        vals, grad = _value_and_grad(_symmetric_full(v, d), xs)
-        jac = np.zeros((len(xs), k))
-        for j in range(d + 1):
-            jac[:, min(j, d - j)] += grad[:, j]
-        return vals - fx, jac
+        return _top_row(_symmetric_full(v, d), xs)[0].real - fx
 
-    r, jac = residual(vars_)
+    def jacobian(v):
+        # dU/dphi_j = P_j iZ P_j^dagger U, whose top-left entry has real part
+        # -Im[(|a|^2 - |b|^2) A + 2ab conj(B)]; phase j is reduced phase min(j, d-j)
+        full = _symmetric_full(v, d)
+        big_a, big_b = _top_row(full, xs)
+        jac_t = np.zeros((k, k))
+        for j, (a, b) in enumerate(_prefix_rows(full, xs)):
+            jac_t[min(j, d - j)] -= ((abs(a) ** 2 - abs(b) ** 2) * big_a
+                                     + 2 * a * b * big_b.conj()).imag
+        return jac_t.T
+
+    vars_ = np.zeros(k)
+    r = residual(vars_)
     best = float(np.max(np.abs(r)))
     for _ in range(max_iterations):
         if best <= tol:
             break
-        a = jac.T @ jac
-        g = jac.T @ r
-        accepted = False
-        for _ in range(60):
-            step = np.linalg.solve(a + lam * np.eye(k), -g)
-            r2, jac2 = residual(vars_ + step)
-            if np.linalg.norm(r2) < np.linalg.norm(r):
-                vars_ = vars_ + step
-                r, jac = r2, jac2
-                best = float(np.max(np.abs(r)))
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam *= 4.0
-        if not accepted:
+        trial = vars_ - np.linalg.solve(jacobian(vars_), r)
+        r_trial = residual(trial)
+        if np.max(np.abs(r_trial)) >= best:
             break
+        vars_, r, best = trial, r_trial, float(np.max(np.abs(r_trial)))
     if best > tol:
         raise PhaseSolverError(
             f"phase solver stalled at residual {best:.3e} (tolerance {tol:.1e})",
@@ -385,14 +354,16 @@ def _inverse_target(delta: float, eps: float, cap: int):
 
     grid = np.linspace(delta, 1.0, 2001)
     want = 0.5 * delta / grid
-    tx = np.polynomial.chebyshev.chebvander(grid, min(cap, n))
+    two_x = 2 * grid
+    t_j, t_next = np.ones_like(grid), grid  # T_j and T_{j+1} on the grid
     partial = np.zeros_like(grid)
     degree = None
     for j in range(min(cap, n) + 1):
-        partial = partial + coefs[j] * tx[:, j]
+        partial = partial + coefs[j] * t_j
         if j % 2 == 1 and np.max(np.abs(partial - want)) <= eps / 2:
             degree = j
             break
+        t_j, t_next = t_next, t_next * two_x - t_j
     if degree is None:
         raise PhaseSolverError(
             f"no odd degree within the budget {cap} reaches accuracy {eps / 2:.2e}")

@@ -55,6 +55,14 @@ class TestEval:
         rc, _, err = run(capsys, "eval", g, "--input", str(vec))
         assert rc == 2 and "length" in err
 
+    def test_bad_input_entries_are_a_usage_error(self, tmp_path, capsys):
+        g = write_graph(tmp_path, be.Identity(dim=2))
+        vec = tmp_path / "v.json"
+        for data in ([["a", 1], 0], [True, 0], [[0, False], 1], [10 ** 400, 0], 5):
+            vec.write_text(json.dumps(data))
+            rc, out, err = run(capsys, "eval", g, "--input", str(vec))
+            assert rc == 2 and out == "" and err.startswith("error: ")
+
 
 class TestVerify:
     def test_pass(self, tmp_path, capsys):
@@ -81,7 +89,11 @@ class TestVerify:
                      {"op": "increment", "bits": 2.7},
                      {"op": "adjoint", "args": [INC, QFT]},
                      {"op": "matmul", "args": [INC, QFT], "params": 5},
-                     {"op": "matmul", "args": [INC, QFT], "params": {"exact": "yes"}}]:
+                     {"op": "matmul", "args": [INC, QFT], "params": {"exact": "yes"}},
+                     {"op": "scale", "args": [QFT], "params": {"factor": True}},
+                     {"op": "constant_vector", "entries": [True, False]},
+                     {"op": "pseudoinverse", "args": [INC],
+                      "params": {"condition": True, "tolerance": 0.05, "delta": "0.5"}}]:
             p.write_text(json.dumps({"version": 1, "root": root}))
             rc, _, err = run(capsys, "verify", str(p))
             assert rc == 2 and err.startswith(f"error: {p}: bad fields for op {root['op']!r}: ")

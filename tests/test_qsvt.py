@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from blockenc.qsvt import (
     SingularValueTransform,
     TargetPolynomial,
     _cheb_series,
+    _inverse_target,
     realized_poly,
     solve_phases,
 )
@@ -58,6 +60,10 @@ class TestRealizedPoly:
         phases = rng.uniform(-np.pi, np.pi, 7)
         for xv in rng.uniform(-1, 1, 100):
             assert abs(realized_poly(phases, xv) - direct_qsp_oracle(phases, xv)) < 1e-12
+        long_phases = np.random.default_rng(38).uniform(-np.pi, np.pi, 3001)
+        xs = np.random.default_rng(39).uniform(-1, 1, 10)
+        want = [direct_qsp_oracle(long_phases, xv) for xv in xs]
+        assert np.max(np.abs(realized_poly(long_phases, xs) - want)) < 1e-12
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
@@ -98,12 +104,30 @@ class TestSolvePhases:
 
     def test_random_targets_up_to_degree_30(self):
         rng = np.random.default_rng(32)
-        for degree in (2, 5, 9, 14, 21, 30):
-            t = bounded_random_target(rng, degree)
+        targets = [bounded_random_target(rng, degree) for degree in (2, 5, 9, 14, 21, 30)]
+        # near-margin targets from their own rng, so the cases above stay the same
+        near = np.random.default_rng(38)
+        targets += [bounded_random_target(near, degree, 0.998) for degree in (51, 121)]
+        for t in targets:
             pv = solve_phases(t, 1e-8)
-            assert pv.residual <= 1e-6
+            assert pv.residual <= 1e-8
             xs = np.linspace(-1, 1, 301)
             assert np.max(np.abs(realized_poly(pv, xs) - t(xs))) <= 1e-6
+
+    def test_solver_memory_stays_near_the_jacobian(self):
+        # O(k^2): the k x k Jacobian (k = 440) is 1.5 MB, where any (d+1) x k
+        # array of 2x2 complex blocks would take 25 MB
+        target, _ = _inverse_target(0.00961, 0.01, 2500)
+        assert target.degree == 879
+        solve_phases.cache_clear()
+        tracemalloc.start()
+        try:
+            pv = solve_phases(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pv.residual <= 1e-8
+        assert peak < 4 * 2**20
 
     def test_realized_stays_bounded_and_has_parity(self):
         rng = np.random.default_rng(33)
