@@ -2,7 +2,8 @@
 
 Qubit 0 is the least significant bit of a basis index; amplitude arrays are
 little-endian throughout.  Circuits are immutable; simulation never mutates
-its input state.
+its input state.  A gate tuple may repeat one `Gate` object (lowering builds
+each repeated part once), and `Circuit` range-checks each distinct object once.
 
 `Circuit.apply` runs a program compiled from the gate list on first use and
 cached on the circuit, so it lives exactly as long as the `Circuit`:
@@ -149,7 +150,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         total = self.main_qubits + self.ancilla_qubits
-        for g in self.gates:
+        for g in {id(g): g for g in self.gates}.values():
             for q in list(g.targets) + [q for q, _ in g.controls]:
                 if not 0 <= q < total:
                     raise ValueError(f"gate {g} references qubit {q} outside register of {total}")

@@ -11,7 +11,8 @@ must be |0> in the accepted output sector and are never reused), then scratch
 sequential children in stack fashion).  Composites place their children with
 `Layout`, the one implementation of this rule: the composite's own flags,
 then each child's flag block in child order (`a` before `b`), then the shared
-scratch; `Layout.embed` relabels each child gate once.
+scratch; `Layout.embed` relabels each distinct child gate once, and the QSVT
+sequence repeats its child, adjoint and sector marks by reference.
 """
 from __future__ import annotations
 
@@ -292,10 +293,10 @@ class Node:
 
     def resources(self) -> ResourceReport:
         circ = self.circuit()
-        eta = None
-        b = get_budget()
-        if self.dim_in <= b.max_dim and self.dim_out <= b.max_dim:
+        try:
             eta = self.info_efficiency()
+        except BudgetExceededError:  # this node or one below it is past the dense budget
+            eta = None
         return ResourceReport(
             main_qubits=circ.main_qubits,
             ancilla_qubits=circ.ancilla_qubits,
@@ -436,12 +437,15 @@ class Layout:
     def embed(self, i: int, offset: int = 0,
               controls: tuple[tuple[int, int], ...] = ()) -> list[Gate]:
         """Child i's gates on this register, its main qubit q moved to
-        offset + q, with `controls` appended to every gate."""
+        offset + q, with `controls` appended to every gate.  Each distinct
+        gate object is relabelled once and its copy repeated in child order."""
         circ = self.children[i].circuit()
         flags = self.flags[i]
         to = (*range(offset, offset + circ.main_qubits), *flags,
               *range(self.scratch_base,
                      self.scratch_base + circ.ancilla_qubits - len(flags)))
-        return [Gate(g.kind, tuple(to[q] for q in g.targets),
-                     tuple((to[q], b) for q, b in g.controls) + controls, g.param, g.table)
+        new = {}  # id -> relabelled copy; circ keeps every id live meanwhile
+        return [new.get(id(g)) or new.setdefault(id(g), Gate(
+                    g.kind, tuple(to[q] for q in g.targets),
+                    tuple((to[q], b) for q, b in g.controls) + controls, g.param, g.table))
                 for g in circ.gates]

@@ -281,32 +281,26 @@ class SingularValueTransform(Node):
 
         fwd = lay.embed(0)
         bwd = [g.inverse() for g in reversed(fwd)]
-        memb_peak = 0
-
-        def phase_step(angle, space):
-            nonlocal memb_peak
+        # the sector marks and the flip are built once; each step adds only its RZ
+        marks, peak = [], 0
+        for space in (a.subspace_in, a.subspace_out):
             pool = ScratchPool(rot + 1)
-            mark = membership_flip_gates(space, 0, rot, pool, zero_qubits=lay.flags[0])
-            memb_peak = max(memb_peak, pool.peak)
-            return (mark
-                    + [Gate("X", (rot,), ((lcu, 1),)),
-                       rz(-2.0 * angle, rot),
-                       Gate("X", (rot,), ((lcu, 1),))]
-                    + mark[::-1])
+            marks.append(membership_flip_gates(space, 0, rot, pool, zero_qubits=lay.flags[0]))
+            peak = max(peak, pool.peak)
+        flip = Gate("X", (rot,), ((lcu, 1),))
 
-        s_in = a.subspace_in
-        s_out = a.subspace_out if self.target.parity == "odd" else a.subspace_in
         gates = [h(lcu)]
-        gates += phase_step(psi[d], s_in)
-        for k in range(1, d + 1):
-            gates += fwd if k % 2 else bwd
-            gates += phase_step(psi[d - k], a.subspace_out if k % 2 else s_in)
+        for k in range(d + 1):
+            if k:
+                gates += fwd if k % 2 else bwd
+            mark = marks[k % 2]
+            gates += mark + [flip, rz(-2.0 * psi[d - k], rot), flip] + mark[::-1]
         if d % 4:
             gates.append(global_phase(d * math.pi / 2, [(lcu, 0)]))
             gates.append(global_phase(-d * math.pi / 2, [(lcu, 1)]))
         gates.append(h(lcu))
 
-        return gates, lay.persistent, max(lay.child_scratch, 1 + memb_peak)
+        return gates, lay.persistent, max(lay.child_scratch, 1 + peak)
 
     def __repr__(self):
         return (f"SingularValueTransform({self.a!r}, degree={self.target.degree}, "

@@ -224,6 +224,42 @@ class TestUnitarity:
                     assert np.allclose(ms[:, b], col, atol=1e-12)
 
 
+class TestValidation:
+    """A gate tuple may repeat one `Gate` object; `Circuit` range-checks each
+    distinct object once, so these pin that no bad gate slips through."""
+
+    @pytest.mark.parametrize("kind, targets, controls, table, match", [
+        ("CNOT", (0,), (), None, "unknown gate kind"),
+        ("Swap", (1, 1), (), None, "pairwise distinct"),
+        ("X", (0,), ((0, 1),), None, "pairwise distinct"),
+        ("X", (0,), ((1, 1), (1, 0)), None, "pairwise distinct"),
+        ("Permutation", (0,), (), None, "needs a table"),
+        ("Permutation", (0,), (), (0, 0), "bijection"),
+        ("Permutation", (0,), (), (1, 0, 2, 3), "bijection"),
+        ("Permutation", (0, 1), (), (0, 1, 2), "bijection"),
+        ("Permutation", (0,), (), (1, 2), "bijection"),
+    ])
+    def test_gate_rejects(self, kind, targets, controls, table, match):
+        with pytest.raises(ValueError, match=match):
+            Gate(kind, targets, controls, table=table)
+
+    @pytest.mark.parametrize("gate", [x(2), x(0, [(3, 1)]), x(-1), swap(0, 5),
+                                      permutation([1, 0], [4]), global_phase(0.1, [(2, 0)])])
+    def test_circuit_rejects_qubit_outside_register(self, gate):
+        with pytest.raises(ValueError, match="outside register of 2"):
+            Circuit(1, 1, (gate,))
+
+    def test_repeated_bad_gate(self):
+        bad = x(0, [(2, 1)])
+        with pytest.raises(ValueError, match="references qubit 2"):
+            Circuit(2, 0, (bad, bad, bad))
+
+    def test_bad_gate_after_repeated_good_gate(self):
+        good = x(0, [(1, 1)])
+        with pytest.raises(ValueError, match="references qubit 3"):
+            Circuit(2, 0, (good, good, h(1), good, swap(1, 3), good))
+
+
 class TestAdjoint:
     def test_empty(self):
         assert Circuit(2, 0, ()).adjoint().gates == ()

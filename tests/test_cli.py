@@ -130,6 +130,15 @@ class TestEstimate:
         rc, out, _ = run(capsys, "estimate", g)
         assert json.loads(out)["gate_counts"] == {}
 
+    def test_small_node_over_a_large_operand(self, tmp_path, capsys):
+        node = be.SingularValueTransform(be.Identity(dim=4) & be.Identity(dim=2**11),
+                                         be.TargetPolynomial.chebyshev([0, 0.5]))[:4, :4]
+        rc, out, err = run(capsys, "estimate", write_graph(tmp_path, node))
+        assert rc == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["info_efficiency"] is None and "norm_query_estimates" not in rep
+        assert rep["total_qubits"] == 16 and rep["gate_counts"]["RZ"] == 2
+
 
 class TestEmit:
     def test_increment_text(self, tmp_path, capsys):

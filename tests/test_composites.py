@@ -298,6 +298,28 @@ class TestRegisterLayout:
                              ("X", (5,), ((1, 1), (0, 0))), ("X", (4,), ((3, 0), (5, 1)))]
         assert gates[16:22] == self.member(3, 4)
 
+    def test_even_transform_over_rectangular_child(self):
+        # 2x4 child: its input and output sectors differ, so the phase steps
+        # alternate two marks.  LCU flag 2, child's flag 3, rotation qubit 4;
+        # only the input mark needs membership scratch, on 5
+        node = be.SingularValueTransform(self.checked()[:2, :],
+                                         be.TargetPolynomial.chebyshev([0.2, 0, 0.3, 0, 0.2]))
+        sizes, gates = self.layout(node)
+        assert sizes == (2, 4, 2)
+        mark_in = [("X", (4,), ()), ("X", (5,), ((1, 0),)), ("X", (5,), ((1, 1), (0, 0))),
+                   ("X", (4,), ((3, 0), (5, 1))), ("X", (5,), ((1, 1), (0, 0))),
+                   ("X", (5,), ((1, 0),))]
+        mark_out = [("X", (4,), ()), ("X", (4,), ((3, 0), (1, 0)))]
+        rotate = [("X", (4,), ((2, 1),)), ("RZ", (4,), ()), ("X", (4,), ((2, 1),))]
+        step_in = mark_in + rotate + mark_in[::-1]
+        step_out = mark_out + rotate + mark_out[::-1]
+        fwd = self.member(3, 4)
+        assert gates == ([("H", (2,), ())]
+                         + step_in + fwd + step_out + fwd[::-1]
+                         + step_in + fwd + step_out + fwd[::-1]
+                         + step_in + [("H", (2,), ())])
+        assert len(gates) == 85
+
 
 class TestSlicing:
     def test_numpy_slice_oracle(self):

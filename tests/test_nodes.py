@@ -236,6 +236,18 @@ class TestCachesAndBudget:
         # a refused evaluation is not cached
         assert np.array_equal(node.toarray(), np.roll(np.eye(8), 1, axis=0))
 
+    def test_resources_of_a_small_node_over_a_large_operand(self):
+        # 4x4 slice of a transform whose operand is 8192 wide: the report is
+        # complete except eta, which needs that operand's dense matrix
+        node = be.SingularValueTransform(be.Identity(dim=4) & be.Identity(dim=2**11),
+                                         be.TargetPolynomial.chebyshev([0, 0.5]))[:4, :4]
+        assert (node.dim_out, node.dim_in) == (4, 4)
+        rep = node.resources()
+        assert rep.info_efficiency is None
+        assert (rep.main_qubits, rep.ancilla_qubits, rep.total_qubits) == (13, 3, 16)
+        assert rep.gate_counts == {"H": 2, "CX": 4, "RZ": 2, "CGlobalPhase": 2}
+        assert rep.normalization == 1.0
+
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("BE_BUDGET", "1024,64")
         b = Budget.from_env()

@@ -293,3 +293,28 @@ class TestPseudoinverse:
                 be.Pseudoinverse(be.Increment(2), condition=2.0, tolerance=0.1)
         finally:
             be.set_budget(old)
+
+    def test_lowering_builds_each_repeated_part_once(self):
+        # Laplace N=4 solution, 72,179 gates.  The phase steps repeat the two
+        # sector marks and the child and its adjoint by reference, so under
+        # 1,000 distinct gate objects exist; a Gate per occurrence would trace ~25 MB
+        n = 4
+        ident = be.Identity(dim=2 ** n)
+        shift = be.Increment(bits=n)
+        a = 2 ** n * (2 * ident - shift.adjoint() - shift)[:-1, :-1]
+        rhs = be.ConstantVector(0.5 * np.ones(2))
+        for _ in range(n - 1):
+            rhs = rhs & be.ConstantVector(0.5 * np.ones(2))
+        a_inv = be.Pseudoinverse(a, condition=float(np.linalg.cond(a.toarray(), 2)),
+                                 tolerance=0.01)
+        solution = a_inv @ rhs[:-1]
+        assert a_inv.phase_residual <= 1e-8  # solve outside the traced window
+        tracemalloc.start()
+        try:
+            circ = solution.circuit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(circ.gates) == 72179
+        assert len({id(g) for g in circ.gates}) < 1000
+        assert peak < 4 * 2**20
