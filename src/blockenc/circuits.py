@@ -3,7 +3,8 @@
 Qubit 0 is the least significant bit of a basis index; amplitude arrays are
 little-endian throughout.  Circuits are immutable; simulation never mutates
 its input state.  A gate tuple may repeat one `Gate` object (lowering builds
-each repeated part once), and `Circuit` range-checks each distinct object once.
+each repeated part once); `Circuit` range-checks, and `gate_counts` and
+`t_count_estimate` count, each distinct object once.
 
 `Circuit.apply` runs a program compiled from the gate list on first use and
 cached on the circuit, so it lives exactly as long as the `Circuit`:
@@ -169,14 +170,14 @@ class Circuit:
         return Circuit(self.main_qubits, self.ancilla_qubits, self.gates + other.gates)
 
     def gate_counts(self, lower_permutations: bool = False) -> dict[str, int]:
-        counts = Counter()
-        for g in self.gates:
-            if lower_permutations and g.kind == "Permutation":
-                for lg in lower_permutation_gate(g):
-                    counts[lg.count_key()] += 1
-            else:
-                counts[g.count_key()] += 1
-        return dict(counts)
+        counts = {}
+        for g, n in _occurrences(self.gates):
+            lowered = (lower_permutation_gate(g) if lower_permutations and g.kind == "Permutation"
+                       else (g,))
+            for lg in lowered:
+                key = lg.count_key()
+                counts[key] = counts.get(key, 0) + n
+        return counts
 
     def apply(self, state):
         """Apply the gate sequence to a statevector (or column-stacked matrix)."""
@@ -206,6 +207,15 @@ class Circuit:
 
     def export_text(self, lower_permutations: bool = False) -> str:
         return export_text(self, lower_permutations)
+
+
+def _occurrences(gates):
+    """(gate, occurrences) for each distinct gate object, in order of first occurrence."""
+    first = dict(zip(map(id, gates), gates))
+    if len(first) == len(gates):  # nothing repeats, as in most small circuits
+        return [(g, 1) for g in gates]
+    times = Counter(map(id, gates))
+    return [(first[i], n) for i, n in times.items()]
 
 
 # Gates that only move amplitudes; X and Swap as permutation tables of their targets.
@@ -349,14 +359,14 @@ def t_count_estimate(circuit: Circuit) -> dict[str, int]:
     """
     t = 0
     scratch = 0
-    for g in circuit.gates:
+    for g, times in _occurrences(circuit.gates):
         lowered = lower_permutation_gate(g) if g.kind == "Permutation" else [g]
         for lg in lowered:
             n = len(lg.controls)
             if lg.kind == "T":
-                t += 1
+                t += times
             elif lg.kind == "X" and n >= 2:
-                t += (2 * n - 3) * 7
+                t += (2 * n - 3) * 7 * times
                 scratch = max(scratch, n - 2)
     return {"t": t, "scratch": scratch}
 

@@ -36,6 +36,11 @@ class PhaseSolverError(RuntimeError):
         self.residual = residual
 
 
+def _sampled_sup(p, samples):
+    xs = np.linspace(-1.0, 1.0, samples)
+    return float(np.max(np.abs(p(xs))))
+
+
 @dataclass(frozen=True)
 class TargetPolynomial:
     """Real Chebyshev series with definite parity, bounded by 1 on [-1, 1]."""
@@ -74,8 +79,15 @@ class TargetPolynomial:
         return cheb.chebval(x, np.asarray(self.coefficients))
 
     def sup_norm(self, samples: int = 2001) -> float:
-        xs = np.linspace(-1.0, 1.0, samples)
-        return float(np.max(np.abs(self(xs))))
+        """Largest |p| over `samples` equispaced points of [-1, 1]; the default
+        sample is evaluated once per instance."""
+        if samples == 2001:
+            return self._default_sup
+        return _sampled_sup(self, samples)
+
+    @cached_property
+    def _default_sup(self) -> float:
+        return _sampled_sup(self, 2001)
 
     def scaled(self, s: float) -> "TargetPolynomial":
         return TargetPolynomial(tuple(s * c for c in self.coefficients), self.parity)
@@ -137,6 +149,25 @@ def _symmetric_full(vars_, d):
     return full
 
 
+def _symmetric_top_row(full, xs):
+    """Top row (A, B) of a symmetric sequence (phi_j = phi_{d-j}) from its first half.
+
+    W(x) and exp(i phi Z) are symmetric matrices, so the second half of the
+    product is the transpose of the first: U = P_m M P_m^T with m = d // 2,
+    M = W for odd d and M = exp(-i phi_m Z) for even d.
+    """
+    d = len(full) - 1
+    m = d // 2
+    a, b = _top_row(full[: m + 1], xs)
+    if d % 2:
+        c = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+        return (xs * (a * a + b * b) + 2j * c * a * b,
+                xs * (a.conj() * b - a * b.conj()) + 1j * c * (abs(a) ** 2 - abs(b) ** 2))
+    e = cmath.exp(1j * full[m])
+    return (a * a * e.conjugate() + b * b * e,
+            b * a.conj() * e - a * b.conj() * e.conjugate())
+
+
 @lru_cache(maxsize=64)
 def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
                  max_iterations: int = 500) -> PhaseVector:
@@ -145,9 +176,13 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     Deterministic: fixed nodes, fixed start (zero symmetric phases plus the
     pi/4 endpoint offsets), plain Newton on the square system of k free
     symmetric phases at k nodes, stopped by the first step that does not
-    lower the max residual.  Pure Chebyshev targets c*T_d are dispatched
-    analytically.  The last 64 distinct calls are cached
-    (`solve_phases.cache_info()` counts hits).
+    lower the max residual.  Each iterate is evaluated by the half-length
+    symmetric recurrence (`_symmetric_top_row`), and its Jacobian from the
+    same k prefix rows.  The first Newton step from the zero start is taken
+    in closed form, -c_{d-2j}/2 for reduced phase j (-c_0 for the middle
+    phase of an even target), and counts as the first of `max_iterations`.
+    Pure Chebyshev targets c*T_d are dispatched analytically.  The last 64
+    distinct calls are cached (`solve_phases.cache_info()` counts hits).
     """
     c = np.asarray(target.coefficients, dtype=float)
     d = target.degree
@@ -171,32 +206,39 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     k = (d + 2) // 2  # free symmetric phases = free coefficients of this parity
     xs = np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (4 * k))
     fx = target(xs)
+    # reversing a symmetric sequence transposes U and keeps U_00, so phase d-j
+    # moves it as phase j does: reduced phase j counts twice, the middle
+    # phase of an even sequence once
+    weight = np.full(k, 2.0)
+    if d % 2 == 0:
+        weight[-1] = 1.0
 
-    def residual(v):
-        return _top_row(_symmetric_full(v, d), xs)[0].real - fx
-
-    def jacobian(v):
+    def jacobian(v, big_a, big_b):
         # dU/dphi_j = P_j iZ P_j^dagger U, whose top-left entry has real part
-        # -Im[(|a|^2 - |b|^2) A + 2ab conj(B)]; phase j is reduced phase min(j, d-j)
-        full = _symmetric_full(v, d)
-        big_a, big_b = _top_row(full, xs)
-        jac_t = np.zeros((k, k))
-        for j, (a, b) in enumerate(_prefix_rows(full, xs)):
-            jac_t[min(j, d - j)] -= ((abs(a) ** 2 - abs(b) ** 2) * big_a
-                                     + 2 * a * b * big_b.conj()).imag
+        # -Im[(|a|^2 - |b|^2) A + 2ab conj(B)]; rows j < k need the first half only
+        jac_t = np.empty((k, k))
+        two_b = 2 * big_b.conj()
+        for j, (a, b) in enumerate(_prefix_rows(_symmetric_full(v, d)[:k], xs)):
+            jac_t[j] = ((abs(a) ** 2 - abs(b) ** 2) * big_a + a * b * two_b).imag
+        jac_t *= -weight[:, None]
         return jac_t.T
 
-    vars_ = np.zeros(k)
-    r = residual(vars_)
-    best = float(np.max(np.abs(r)))
-    for _ in range(max_iterations):
+    # at zero reduced phases U_00 = i T_d(x), so the residual is -f, and the
+    # Jacobian is -cos((d - 2j) theta_i) weight_j where f = sum_j c_{d-2j}
+    # cos((d - 2j) theta_i): Newton's first step is -c_{d-2j} / weight_j
+    vars_, best = np.zeros(k), float(np.max(np.abs(fx)))
+    for step in range(max_iterations):
         if best <= tol:
             break
-        trial = vars_ - np.linalg.solve(jacobian(vars_), r)
-        r_trial = residual(trial)
+        if step:
+            trial = vars_ - np.linalg.solve(jacobian(vars_, *top), r)
+        else:
+            trial = -c[d - 2 * np.arange(k)] / weight
+        top_trial = _symmetric_top_row(_symmetric_full(trial, d), xs)
+        r_trial = top_trial[0].real - fx
         if np.max(np.abs(r_trial)) >= best:
             break
-        vars_, r, best = trial, r_trial, float(np.max(np.abs(r_trial)))
+        vars_, r, best, top = trial, r_trial, float(np.max(np.abs(r_trial))), top_trial
     if best > tol:
         raise PhaseSolverError(
             f"phase solver stalled at residual {best:.3e} (tolerance {tol:.1e})",

@@ -315,6 +315,41 @@ class TestCounts:
         assert "Permutation" not in low and sum(low.values()) >= 1
 
 
+def per_occurrence_counts(gates, lower_permutations=False):
+    """Gate counts taken one occurrence at a time, in first-occurrence key order."""
+    counts = {}
+    for g in gates:
+        expand = lower_permutations and g.kind == "Permutation"
+        for lg in lower_permutation_gate(g) if expand else [g]:
+            counts[lg.count_key()] = counts.get(lg.count_key(), 0) + 1
+    return counts
+
+
+class TestCountsOverRepeatedObjects:
+    # one object per part, repeated by reference the way lowering repeats them,
+    # plus an equal gate that is a separate object
+    perm = permutation([3, 0, 6, 1, 2, 7, 4, 5], [0, 1, 2], controls=[(3, 1)])
+    toffoli = x(2, [(0, 1), (1, 1)])
+    t = Gate("T", (0,))
+    gates = (h(3), perm, toffoli, t, perm, t, toffoli, perm, rz(0.3, 1), perm.inverse(),
+             toffoli, h(3), x(2, [(0, 1), (1, 1)]), Gate("T", (0,)), t)
+
+    def test_counts_equal_a_count_per_occurrence(self):
+        circ = Circuit(4, 0, self.gates)
+        for lower in (False, True):
+            got = circ.gate_counts(lower_permutations=lower)
+            want = per_occurrence_counts(self.gates, lower)
+            assert list(got.items()) == list(want.items())  # key order too
+        assert circ.gate_counts()["CPermutation"] == 4
+
+    def test_t_count_equals_a_sum_per_occurrence(self):
+        circ = Circuit(4, 0, self.gates)
+        each = [t_count_estimate(Circuit(4, 0, (g,))) for g in self.gates]
+        want = {"t": sum(e["t"] for e in each), "scratch": max(e["scratch"] for e in each)}
+        assert t_count_estimate(circ) == want
+        assert want == {"t": 4 + 4 * 7 + 4 * 105, "scratch": 1}  # T, Toffoli, permutation
+
+
 class TestPhases:
     def test_global_phase_scales_everything(self):
         circ = Circuit(2, 0, (global_phase(0.7),))

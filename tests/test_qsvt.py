@@ -11,6 +11,9 @@ from blockenc.qsvt import (
     TargetPolynomial,
     _cheb_series,
     _inverse_target,
+    _symmetric_full,
+    _symmetric_top_row,
+    _top_row,
     realized_poly,
     solve_phases,
 )
@@ -81,6 +84,21 @@ class TestTargetPolynomial:
         with pytest.raises(ValueError):
             TargetPolynomial.chebyshev([0.0, 1.7])
 
+    def test_default_sup_norm_is_sampled_once(self, monkeypatch):
+        calls = []
+        call = TargetPolynomial.__call__
+        monkeypatch.setattr(TargetPolynomial, "__call__",
+                            lambda self, x: calls.append(1) or call(self, x))
+        t = TargetPolynomial.chebyshev([0.0, 0.5, 0.0, 0.3])
+        SingularValueTransform(be.Increment(2), t)
+        assert len(calls) == 1
+        for samples in (2001, 101):
+            want = float(np.max(np.abs(call(t, np.linspace(-1, 1, samples)))))
+            assert t.sup_norm(samples) == t.sup_norm(samples) == want
+        assert len(calls) == 3  # the default sample once, 101 points twice
+        same = TargetPolynomial(t.coefficients, t.parity)
+        assert same == t and hash(same) == hash(t)
+
     def test_trailing_zeros_trimmed(self):
         t = TargetPolynomial.chebyshev([0.3, 0.0, 0.2, 0.0, 0.0])
         assert t.degree == 2 and t.parity == "even"
@@ -128,6 +146,47 @@ class TestSolvePhases:
             tracemalloc.stop()
         assert pv.residual <= 1e-8
         assert peak < 4 * 2**20
+
+    def test_half_length_recurrence_matches_the_full_sequence(self):
+        rng = np.random.default_rng(40)
+        xs = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 40)])
+        for d in list(range(1, 10)) + [3000, 3001]:
+            half = rng.uniform(-np.pi, np.pi, d // 2 + 1)
+            full = np.empty(d + 1)
+            full[: d // 2 + 1] = half
+            full[d - d // 2:] = half[::-1]
+            for got, want in zip(_symmetric_top_row(full, xs), _top_row(full, xs)):
+                assert np.max(np.abs(got - want)) < 1e-13, d
+
+    def test_first_step_is_the_closed_form_newton_step(self):
+        rng = np.random.default_rng(41)
+        for d in (7, 8):
+            t = bounded_random_target(rng, d, 0.5)
+            k = (d + 2) // 2
+            xs = np.cos((2 * np.arange(1, k + 1) - 1) * np.pi / (4 * k))
+            # Newton's first step from zero, with the Jacobian summed over all d + 1 phases
+            full = _symmetric_full(np.zeros(k), d)
+            big_a, big_b = _top_row(full, xs)
+            j0 = np.zeros((k, k))
+            for j in range(d + 1):
+                a, b = _top_row(full[: j + 1], xs)
+                j0[:, min(j, d - j)] -= ((abs(a) ** 2 - abs(b) ** 2) * big_a
+                                         + 2 * a * b * big_b.conj()).imag
+            step = -np.linalg.solve(j0, big_a.real - t(xs))
+            # a tolerance the first step meets stops the solver right after it
+            tol = 0.9 * float(np.max(np.abs(t(xs))))
+            pv = solve_phases.__wrapped__(t, tol, max_iterations=1)
+            assert np.max(np.abs(np.asarray(pv.phases) - _symmetric_full(step, d))) < 1e-12
+
+    def test_degree_879_solve_factors_three_jacobians(self, monkeypatch):
+        # the first Newton step is closed-form, so N=4 takes 3 LU solves, not 4
+        target, _ = _inverse_target(0.00961, 0.01, 2500)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        pv = solve_phases.__wrapped__(target)
+        assert pv.residual <= 1e-8
+        assert len(calls) == 3
 
     def test_realized_stays_bounded_and_has_parity(self):
         rng = np.random.default_rng(33)
