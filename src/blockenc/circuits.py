@@ -390,14 +390,12 @@ def export_text(circuit: Circuit, lower_permutations: bool = False) -> str:
             return f"q[{q}]"
         return f"anc[{q - circuit.main_qubits}]"
 
-    def emit(g: Gate):
+    def emit(g: Gate) -> list[str]:
         if g.kind == "Permutation":
             if not lower_permutations:
                 raise UnsupportedGateError(
                     "PermutationGate has no direct text form; export with lowering enabled")
-            for lg in lower_permutation_gate(g):
-                emit(lg)
-            return
+            return [line for lg in lower_permutation_gate(g) for line in emit(lg)]
         name = _QASM_NAMES[g.kind]
         if g.param is not None:
             name += f"({g.param!r})"
@@ -407,8 +405,9 @@ def export_text(circuit: Circuit, lower_permutations: bool = False) -> str:
             name = "cx" if len(ctrls) == 1 else "ccx"
         else:
             name = "".join("ctrl @ " if p else "negctrl @ " for _, p in ctrls) + name
-        lines.append(f"{name} {', '.join(args)};" if args else f"{name};")
+        return [f"{name} {', '.join(args)};" if args else f"{name};"]
 
-    for g in circuit.gates:
-        emit(g)
-    return "\n".join(lines) + "\n"
+    # each distinct gate object is formatted once and its text repeated
+    text = {id(g): "".join(line + "\n" for line in emit(g))
+            for g, _ in _occurrences(circuit.gates)}
+    return "\n".join(lines) + "\n" + "".join(text[id(g)] for g in circuit.gates)

@@ -85,7 +85,8 @@ def cmd_verify(args) -> int:
     node = _load_graph(args.graph)
     report = node.verify(args.tol)
     _emit({"pass": report.passed, "max_error": report.max_error,
-           "worst_column": report.worst_index, "tolerance": report.tolerance})
+           "worst_column": report.worst_index, "tolerance": report.tolerance,
+           "within_bound": report.within_bound})
     return 0 if report.passed else EXIT_VERIFY_FAILED
 
 

@@ -86,11 +86,13 @@ class VerifyReport:
     worst_index: int
     tolerance: float
     passed: bool
+    within_bound: bool = True  # no simulated column exceeded the normalization bound
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
+        bound = "" if self.within_bound else "; output exceeds the normalization bound"
         return (f"verify: {status} (max |simulate - compute| = {self.max_error:.3e} "
-                f"at column {self.worst_index}, tolerance {self.tolerance:.1e})")
+                f"at column {self.worst_index}, tolerance {self.tolerance:.1e}{bound})")
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,15 @@ class Node:
 
         Accepts a vector of length dim_in or a (dim_in, k) column stack.
         """
+        block, bounded = self._simulate(v)
+        if not bounded:
+            warnings.warn("projected output exceeds the normalization bound; "
+                          "the circuit does not match the declared encoding",
+                          RuntimeWarning)
+        return block
+
+    def _simulate(self, v) -> tuple[np.ndarray, bool]:
+        """`simulate` and whether every output column keeps the normalization bound."""
         v = np.asarray(v, dtype=complex)
         flat = v.ndim == 1
         if flat:
@@ -262,11 +273,8 @@ class Node:
         block = state[self.subspace_out.enumerate_basis(), :] * self.normalization
         out_n = np.linalg.norm(block, axis=0)
         in_n = np.linalg.norm(v, axis=0) * self.normalization
-        if np.any(out_n > in_n * (1 + 1e-9) + 1e-12):
-            warnings.warn("projected output exceeds the normalization bound; "
-                          "the circuit does not match the declared encoding",
-                          RuntimeWarning)
-        return block[:, 0] if flat else block
+        bounded = not np.any(out_n > in_n * (1 + 1e-9) + 1e-12)
+        return (block[:, 0] if flat else block), bounded
 
     def simulate_norm(self) -> float:
         """Euclidean norm of the encoded vector, from the circuit path.
@@ -281,11 +289,11 @@ class Node:
     def verify(self, tol: float = 1e-10) -> VerifyReport:
         """Compare circuit and arithmetic paths on every input basis vector."""
         expected = self.toarray()
-        got = self.simulate(np.eye(self.dim_in, dtype=complex))
+        got, bounded = self._simulate(np.eye(self.dim_in, dtype=complex))
         err = np.abs(got - expected)
         worst = int(np.argmax(err.max(axis=0))) if err.size else 0
         max_err = float(err.max()) if err.size else 0.0
-        return VerifyReport(max_err, worst, tol, max_err <= tol)
+        return VerifyReport(max_err, worst, tol, max_err <= tol and bounded, bounded)
 
     def info_efficiency(self) -> float:
         """Spectral norm of the encoded matrix over the normalization (<= 1)."""

@@ -8,6 +8,14 @@ is the real part of the top-left entry of
 The lowering aligns this with projector-controlled phase rotations around the
 input and output sectors, plus a one-qubit average with the conjugate-phase
 branch that extracts the real part.
+
+Phase solving (`solve_phases`) fits symmetric phases at Chebyshev nodes by a
+fixed-point iteration preconditioned with the Jacobian at zero phases, a DCT
+applied by one FFT, and accelerated by Anderson mixing (Walker & Ni, SIAM
+J. Numer. Anal. 2011).  Iterates are evaluated by a two-number SU(2)
+recurrence over the first half of the sequence, so no array is larger than
+O(d) and no linear system is solved but a least-squares fit over at most 5
+past steps.
 """
 from __future__ import annotations
 
@@ -106,27 +114,20 @@ class PhaseVector:
         return len(self.phases) - 1
 
 
-def _prefix_rows(phases, xs):
-    """Top row (a, b) of P_j = exp(i phi_0 Z) W exp(i phi_1 Z) ... W exp(i phi_j Z)
-    at each sample point, for j = 0..d in turn.
+def _top_row(phases, xs):
+    """Top row (A, B) of exp(i phi_0 Z) W exp(i phi_1 Z) ... W exp(i phi_d Z)
+    at each sample point.
 
-    Every factor lies in SU(2), so P_j = [[a, b], [-conj(b), conj(a)]] and two
-    numbers per point carry the whole product.
+    Every factor lies in SU(2), so each prefix product is
+    [[a, b], [-conj(b), conj(a)]] and two numbers per point carry it.
     """
     c = 1j * np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-    e = cmath.exp(1j * phases[0])
-    a = np.full(len(xs), e)
+    a = np.full(len(xs), cmath.exp(1j * phases[0]))
     b = np.zeros(len(xs), dtype=complex)
-    yield a, b
     for phi in phases[1:]:
         e = cmath.exp(1j * phi)
         a, b = (a * xs + b * c) * e, (a * c + b * xs) * e.conjugate()
-        yield a, b
-
-
-def _top_row(phases, xs):
-    """Top row (A, B) of the whole sequence at each sample point."""
-    return deque(_prefix_rows(phases, xs), maxlen=1)[0]
+    return a, b
 
 
 def realized_poly(phases, x):
@@ -174,15 +175,18 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     """Phases whose realized function matches the target at Chebyshev nodes.
 
     Deterministic: fixed nodes, fixed start (zero symmetric phases plus the
-    pi/4 endpoint offsets), plain Newton on the square system of k free
-    symmetric phases at k nodes, stopped by the first step that does not
-    lower the max residual.  Each iterate is evaluated by the half-length
-    symmetric recurrence (`_symmetric_top_row`), and its Jacobian from the
-    same k prefix rows.  The first Newton step from the zero start is taken
-    in closed form, -c_{d-2j}/2 for reduced phase j (-c_0 for the middle
-    phase of an even target), and counts as the first of `max_iterations`.
-    Pure Chebyshev targets c*T_d are dispatched analytically.  The last 64
-    distinct calls are cached (`solve_phases.cache_info()` counts hits).
+    pi/4 endpoint offsets) and a fixed-point iteration on the k free
+    symmetric phases fitted at k nodes.  Each step is v <- v - J0^-1 r, with
+    r = Re U_00 - f at the nodes and J0 the Jacobian at zero phases, a
+    DCT-IV (odd d) or DCT-II (even d) solved by one FFT; Anderson mixing over
+    the last 6 iterates accelerates it.  From the zero start the first step
+    is -c_{d-2j}/2 for reduced phase j (-c_0 for the middle phase of an even
+    target).  Each iterate is evaluated by the half-length symmetric
+    recurrence (`_symmetric_top_row`), so memory is O(d).  The solve stops at
+    the tolerance, after `max_iterations` steps, or after 10 steps without a
+    new best residual, and returns the best iterate.  Pure Chebyshev targets
+    c*T_d are dispatched analytically.  The last 64 distinct calls are cached
+    (`solve_phases.cache_info()` counts hits).
     """
     c = np.asarray(target.coefficients, dtype=float)
     d = target.degree
@@ -206,44 +210,46 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     k = (d + 2) // 2  # free symmetric phases = free coefficients of this parity
     xs = np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (4 * k))
     fx = target(xs)
-    # reversing a symmetric sequence transposes U and keeps U_00, so phase d-j
-    # moves it as phase j does: reduced phase j counts twice, the middle
-    # phase of an even sequence once
-    weight = np.full(k, 2.0)
-    if d % 2 == 0:
-        weight[-1] = 1.0
+    # At zero reduced phases U_00 = i T_d(x), and reduced phase j moves Re U_00
+    # by -cos(n_j theta_i) weight_j, n_j = d - 2j and theta_i = (2i - 1) pi / 4k:
+    # phase d-j moves it as phase j does, so j counts twice, the middle phase
+    # of an even sequence (n_j = 0) once.  C[i, j] = cos(n_j theta_i) is a
+    # DCT-IV (odd d) or DCT-II (even d) with C^T C = diag(k/2, ..., k for
+    # n_j = 0), so J0 = -C diag(weight) has J0^-1 = -C^T / k, and (C^T r)_j is
+    # the real part of exp(-i n_j pi / 4k) times the length-4k DFT of r at n_j.
+    n = d - 2 * np.arange(k)
+    twiddle = np.exp(-1j * math.pi * n / (4 * k)) / k
 
-    def jacobian(v, big_a, big_b):
-        # dU/dphi_j = P_j iZ P_j^dagger U, whose top-left entry has real part
-        # -Im[(|a|^2 - |b|^2) A + 2ab conj(B)]; rows j < k need the first half only
-        jac_t = np.empty((k, k))
-        two_b = 2 * big_b.conj()
-        for j, (a, b) in enumerate(_prefix_rows(_symmetric_full(v, d)[:k], xs)):
-            jac_t[j] = ((abs(a) ** 2 - abs(b) ** 2) * big_a + a * b * two_b).imag
-        jac_t *= -weight[:, None]
-        return jac_t.T
+    def step(r):  # -J0^-1 r
+        return (np.fft.rfft(r, 4 * k)[n] * twiddle).real
 
-    # at zero reduced phases U_00 = i T_d(x), so the residual is -f, and the
-    # Jacobian is -cos((d - 2j) theta_i) weight_j where f = sum_j c_{d-2j}
-    # cos((d - 2j) theta_i): Newton's first step is -c_{d-2j} / weight_j
-    vars_, best = np.zeros(k), float(np.max(np.abs(fx)))
-    for step in range(max_iterations):
-        if best <= tol:
+    vars_, r = np.zeros(k), -fx  # the residual at the start is exact
+    best_vars, best = vars_, float(np.max(np.abs(r)))
+    fs, gs = deque(maxlen=6), deque(maxlen=6)
+    stale = 0
+    for _ in range(max_iterations):
+        if best <= tol or stale >= 10:
             break
-        if step:
-            trial = vars_ - np.linalg.solve(jacobian(vars_, *top), r)
+        f = step(r)
+        fs.append(f)
+        gs.append(vars_ + f)
+        vars_ = gs[-1]
+        if len(fs) > 1:
+            # Anderson mixing: the combination of recent steps with the
+            # least-squares smallest fixed-point residual
+            gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, f, rcond=None)[0]
+            vars_ = vars_ - np.diff(gs, axis=0).T @ gamma
+        r = _symmetric_top_row(_symmetric_full(vars_, d), xs)[0].real - fx
+        err = float(np.max(np.abs(r)))
+        if err < best:
+            best_vars, best, stale = vars_, err, 0
         else:
-            trial = -c[d - 2 * np.arange(k)] / weight
-        top_trial = _symmetric_top_row(_symmetric_full(trial, d), xs)
-        r_trial = top_trial[0].real - fx
-        if np.max(np.abs(r_trial)) >= best:
-            break
-        vars_, r, best, top = trial, r_trial, float(np.max(np.abs(r_trial))), top_trial
+            stale += 1
     if best > tol:
         raise PhaseSolverError(
             f"phase solver stalled at residual {best:.3e} (tolerance {tol:.1e})",
             residual=best)
-    return PhaseVector(tuple(_symmetric_full(vars_, d)), target.parity, best)
+    return PhaseVector(tuple(_symmetric_full(best_vars, d)), target.parity, best)
 
 
 class SingularValueTransform(Node):

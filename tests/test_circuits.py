@@ -407,6 +407,21 @@ class TestExport:
         assert "negctrl @ ry(0.5) anc[0], q[0];" in text
         assert "swap q[0], anc[0];" in text
 
+    def test_repeated_objects_export_as_each_occurrence(self):
+        # one object per part, repeated by reference the way lowering repeats them
+        perm = permutation([3, 0, 6, 1, 2, 7, 4, 5], [0, 1, 2], controls=[(3, 1)])
+        toffoli = x(2, [(0, 1), (1, 1)])
+        turn = rz(0.3, 1, [(3, 0)])
+        plain = (h(3), toffoli, turn, toffoli, x(2, [(0, 1), (1, 1)]), turn, h(3), turn)
+        mixed = (perm, toffoli, turn, perm, perm.inverse(), turn, toffoli, perm)
+        for gates, lower in ((plain, False), (plain, True), (mixed, True)):
+            got = Circuit(4, 0, gates).export_text(lower_permutations=lower)
+            want = Circuit(4, 0, ()).export_text() + "".join(
+                Circuit(4, 0, (g,)).export_text(lower).split("\n", 3)[3] for g in gates)
+            assert got == want
+        with pytest.raises(UnsupportedGateError):
+            Circuit(4, 0, mixed).export_text()
+
 
 def test_t_count_estimate_constants():
     toffoli = Circuit(3, 0, (x(2, [(0, 1), (1, 1)]),))

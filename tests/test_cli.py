@@ -69,6 +69,7 @@ class TestVerify:
         g = write_graph(tmp_path, be.Increment(2))
         rc, out, _ = run(capsys, "verify", g)
         assert rc == 0 and json.loads(out)["pass"] is True
+        assert json.loads(out)["within_bound"] is True
 
     def test_failure_exit_code(self, tmp_path, capsys):
         cv = be.ConstantVector([0.6, 0.8j])

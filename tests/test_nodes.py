@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 import blockenc as be
-from blockenc.nodes import Budget, BudgetExceededError, get_budget, set_budget
+from blockenc.circuits import Gate
+from blockenc.nodes import Budget, BudgetExceededError, Node, get_budget, set_budget
+from blockenc.subspaces import Subspace
 
 from corpus import build_corpus
 
@@ -96,6 +99,36 @@ class TestVerify:
                 @ be.Permutation([2, 0, 3, 1]) @ be.QFT(2).adjoint())
         rep = node.verify(1e-10)
         assert rep.passed, rep
+
+    def test_output_past_the_normalization_bound_fails(self):
+        node = Doubler()
+        with pytest.warns(RuntimeWarning, match="normalization bound"):
+            node.simulate(np.ones(2))
+        rep = node.verify(1e-10)
+        assert rep.max_error < 1e-12  # both paths agree on 2 I
+        assert not rep.passed and not rep.within_bound
+        assert "exceeds the normalization bound" in str(rep)
+
+
+class Doubler(Node):
+    """Declares 2 I at normalization 1, which no unitary circuit encodes; its
+    lowering scales by 2 through an imaginary global phase angle, so the
+    circuit and arithmetic paths agree while the bound is broken."""
+
+    def _raw_subspaces(self):
+        return Subspace.from_dim(2), Subspace.from_dim(2)
+
+    @property
+    def normalization(self):
+        return 1.0
+
+    def compute(self, v):
+        return 2 * np.asarray(v, dtype=complex)
+
+    adjoint_compute = compute
+
+    def _parts(self):
+        return [Gate("GlobalPhase", param=-1j * math.log(2))], 0, 0
 
 
 class TestResources:

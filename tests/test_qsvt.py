@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import blockenc as be
+from blockenc import qsvt
 from blockenc.qsvt import (
     PhaseSolverError,
     SingularValueTransform,
@@ -132,20 +133,21 @@ class TestSolvePhases:
             xs = np.linspace(-1, 1, 301)
             assert np.max(np.abs(realized_poly(pv, xs) - t(xs))) <= 1e-6
 
-    def test_solver_memory_stays_near_the_jacobian(self):
-        # O(k^2): the k x k Jacobian (k = 440) is 1.5 MB, where any (d+1) x k
-        # array of 2x2 complex blocks would take 25 MB
-        target, _ = _inverse_target(0.00961, 0.01, 2500)
-        assert target.degree == 879
-        solve_phases.cache_clear()
-        tracemalloc.start()
-        try:
-            pv = solve_phases(target)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert pv.residual <= 1e-8
-        assert peak < 4 * 2**20
+    def test_solver_memory_is_linear_in_the_degree(self):
+        # O(d): a k x k Jacobian would take 1.5 MB at degree 879 (k = 440) and
+        # 24 MB at degree 3519, the N=5 Laplace size
+        for args, degree, limit in (((0.00961, 0.01, 2500), 879, 0.5 * 2**20),
+                                    ((0.0024, 0.01, 20000), 3519, 2 * 2**20)):
+            target, _ = _inverse_target(*args)
+            assert target.degree == degree
+            tracemalloc.start()
+            try:
+                pv = solve_phases.__wrapped__(target)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert pv.residual <= 1e-8
+            assert peak < limit, (degree, peak)
 
     def test_half_length_recurrence_matches_the_full_sequence(self):
         rng = np.random.default_rng(40)
@@ -178,15 +180,36 @@ class TestSolvePhases:
             pv = solve_phases.__wrapped__(t, tol, max_iterations=1)
             assert np.max(np.abs(np.asarray(pv.phases) - _symmetric_full(step, d))) < 1e-12
 
-    def test_degree_879_solve_factors_three_jacobians(self, monkeypatch):
-        # the first Newton step is closed-form, so N=4 takes 3 LU solves, not 4
+    def test_degree_879_solve_needs_no_linear_solve(self, monkeypatch):
+        # the zero-phase Jacobian is a DCT, so no step factors a k x k matrix
         target, _ = _inverse_target(0.00961, 0.01, 2500)
-        calls = []
+        calls, passes = [], []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        monkeypatch.setattr(qsvt, "_symmetric_top_row",
+                            lambda *a: passes.append(1) or _symmetric_top_row(*a))
         pv = solve_phases.__wrapped__(target)
-        assert pv.residual <= 1e-8
-        assert len(calls) == 3
+        assert pv.residual <= 1.41e-9
+        assert len(calls) == 0
+        assert len(passes) <= 12
+
+    def test_failing_solve_stops_ten_passes_after_its_last_best(self, monkeypatch):
+        # a near-margin target that neither this iteration nor Newton solves
+        target = bounded_random_target(np.random.default_rng(24), 121, 0.998)
+        errors = []
+
+        def counted(full, xs):
+            top = _symmetric_top_row(full, xs)
+            errors.append(float(np.max(np.abs(top[0].real - target(xs)))))
+            return top
+
+        monkeypatch.setattr(qsvt, "_symmetric_top_row", counted)
+        with pytest.raises(PhaseSolverError) as err:
+            solve_phases.__wrapped__(target)
+        best = err.value.residual
+        assert best is not None and best > 1e-8
+        assert min(errors) == best
+        assert len(errors) - errors.index(best) - 1 <= 10
 
     def test_realized_stays_bounded_and_has_parity(self):
         rng = np.random.default_rng(33)
