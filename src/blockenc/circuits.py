@@ -75,6 +75,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if isinstance(self.param, (complex, np.complexfloating)):
+            raise ValueError(f"gate parameter must be real, got {self.param!r}")
         used = list(self.targets) + [q for q, _ in self.controls]
         if len(set(used)) != len(used):
             raise ValueError("gate targets and controls must be pairwise distinct qubits")

@@ -243,6 +243,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             Gate(kind, targets, controls, table=table)
 
+    @pytest.mark.parametrize("kind, targets, param", [
+        ("RZ", (0,), 1j), ("GlobalPhase", (), -0.5j), ("Phase", (0,), np.complex64(0.5j)),
+    ])
+    def test_gate_rejects_complex_parameter(self, kind, targets, param):
+        # a complex angle would make the circuit non-unitary (norm e^0.5 on |0>)
+        with pytest.raises(ValueError, match="must be real"):
+            Gate(kind, targets, param=param)
+
     @pytest.mark.parametrize("gate", [x(2), x(0, [(3, 1)]), x(-1), swap(0, 5),
                                       permutation([1, 0], [4]), global_phase(0.1, [(2, 0)])])
     def test_circuit_rejects_qubit_outside_register(self, gate):

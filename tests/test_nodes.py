@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 import blockenc as be
-from blockenc.circuits import Gate
+from blockenc.circuits import Circuit
 from blockenc.nodes import Budget, BudgetExceededError, Node, get_budget, set_budget
 from blockenc.subspaces import Subspace
 
@@ -110,10 +109,17 @@ class TestVerify:
         assert "exceeds the normalization bound" in str(rep)
 
 
+class DoublingCircuit(Circuit):
+    """Multiplies the state by 2, which no circuit of valid gates does."""
+
+    def apply(self, state):
+        return 2 * super().apply(state)
+
+
 class Doubler(Node):
     """Declares 2 I at normalization 1, which no unitary circuit encodes; its
-    lowering scales by 2 through an imaginary global phase angle, so the
-    circuit and arithmetic paths agree while the bound is broken."""
+    lowering is a circuit that doubles the state, so the circuit and
+    arithmetic paths agree while the bound is broken."""
 
     def _raw_subspaces(self):
         return Subspace.from_dim(2), Subspace.from_dim(2)
@@ -127,8 +133,8 @@ class Doubler(Node):
 
     adjoint_compute = compute
 
-    def _parts(self):
-        return [Gate("GlobalPhase", param=-1j * math.log(2))], 0, 0
+    def _lower(self):
+        return DoublingCircuit(self.main_qubits), 0
 
 
 class TestResources:

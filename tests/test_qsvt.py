@@ -7,13 +7,18 @@ import pytest
 import blockenc as be
 from blockenc import qsvt
 from blockenc.qsvt import (
+    _LEAF,
     PhaseSolverError,
     SingularValueTransform,
     TargetPolynomial,
     _cheb_series,
+    _chebyshev_at_nodes,
     _inverse_target,
+    _node_top_row,
+    _nodes,
+    _row_at_nodes,
+    _symmetric_compose,
     _symmetric_full,
-    _symmetric_top_row,
     _top_row,
     realized_poly,
     solve_phases,
@@ -157,7 +162,8 @@ class TestSolvePhases:
             full = np.empty(d + 1)
             full[: d // 2 + 1] = half
             full[d - d // 2:] = half[::-1]
-            for got, want in zip(_symmetric_top_row(full, xs), _top_row(full, xs)):
+            top = _symmetric_compose(*_top_row(full[: d // 2 + 1], xs), full, xs)
+            for got, want in zip(top, _top_row(full, xs)):
                 assert np.max(np.abs(got - want)) < 1e-13, d
 
     def test_first_step_is_the_closed_form_newton_step(self):
@@ -186,8 +192,8 @@ class TestSolvePhases:
         calls, passes = [], []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
-        monkeypatch.setattr(qsvt, "_symmetric_top_row",
-                            lambda *a: passes.append(1) or _symmetric_top_row(*a))
+        monkeypatch.setattr(qsvt, "_node_top_row",
+                            lambda *a: passes.append(1) or _node_top_row(*a))
         pv = solve_phases.__wrapped__(target)
         assert pv.residual <= 1.41e-9
         assert len(calls) == 0
@@ -196,20 +202,48 @@ class TestSolvePhases:
     def test_failing_solve_stops_ten_passes_after_its_last_best(self, monkeypatch):
         # a near-margin target that neither this iteration nor Newton solves
         target = bounded_random_target(np.random.default_rng(24), 121, 0.998)
+        coefficients = np.asarray(target.coefficients)
         errors = []
 
-        def counted(full, xs):
-            top = _symmetric_top_row(full, xs)
-            errors.append(float(np.max(np.abs(top[0].real - target(xs)))))
+        def counted(full, k):
+            # the target at the nodes as the solver evaluates it, so the best matches exactly
+            top = _node_top_row(full, k)
+            fx = _chebyshev_at_nodes(coefficients, k)
+            errors.append(float(np.max(np.abs(top[0].real - fx))))
             return top
 
-        monkeypatch.setattr(qsvt, "_symmetric_top_row", counted)
+        monkeypatch.setattr(qsvt, "_node_top_row", counted)
         with pytest.raises(PhaseSolverError) as err:
             solve_phases.__wrapped__(target)
         best = err.value.residual
         assert best is not None and best > 1e-8
         assert min(errors) == best
         assert len(errors) - errors.index(best) - 1 <= 10
+
+    def test_degree_3519_solve_never_runs_the_pointwise_recurrence(self, monkeypatch):
+        target, _ = _inverse_target(0.0024, 0.01, 20000)
+        calls = []
+        monkeypatch.setattr(qsvt, "_top_row", lambda *a: calls.append(1) or _top_row(*a))
+        pv = solve_phases.__wrapped__(target)
+        assert pv.residual <= 1e-8
+        assert len(calls) == 0
+
+    def test_degree_13389_solve_converges_in_small_memory(self, monkeypatch):
+        # the N=6 Laplace size
+        target, _ = _inverse_target(0.0006023, 0.01, 40000)
+        assert target.degree == 13389
+        passes = []
+        monkeypatch.setattr(qsvt, "_node_top_row",
+                            lambda *a: passes.append(1) or _node_top_row(*a))
+        tracemalloc.start()
+        try:
+            pv = solve_phases.__wrapped__(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pv.residual <= 1e-10
+        assert len(passes) <= 12
+        assert peak < 8 * 2**20, peak
 
     def test_realized_stays_bounded_and_has_parity(self):
         rng = np.random.default_rng(33)
@@ -246,6 +280,46 @@ class TestSolvePhases:
             solve_phases(TargetPolynomial.chebyshev([0, 0, 0, amp]))
         info = solve_phases.cache_info()
         assert info.maxsize == 64 and info.currsize == 64
+
+
+class TestProductTree:
+    """The solver's evaluator: leaf blocks of `_LEAF` steps, pairwise merges
+    (an odd block out joins the tail), one FFT to the Chebyshev nodes."""
+
+    @pytest.mark.parametrize("steps", [
+        0, 1, 2, _LEAF - 1, _LEAF, _LEAF + 1,
+        3 * _LEAF,             # an odd number of blocks
+        7 * _LEAF,             # odd counts at two merge levels (7, 3)
+        11 * _LEAF + 5,        # odd at 11 and 5, and a remainder block
+        23 * _LEAF + 9,        # odd at 23, 11 and 5, and a remainder block
+    ])
+    def test_node_values_match_the_recurrence_on_every_tree_shape(self, steps):
+        rng = np.random.default_rng(steps)
+        for scale in (np.pi, 0.1):
+            phases = rng.uniform(-scale, scale, steps + 1)
+            for k in {(steps + 2) // 2, steps + 1}:  # at most 2k - 1 steps
+                got = _row_at_nodes(phases, k)
+                for g, w in zip(got, _top_row(phases, _nodes(k))):
+                    assert np.max(np.abs(g - w)) < 1e-9, (steps, scale, k)
+                assert np.max(np.abs(abs(got[0]) ** 2 + abs(got[1]) ** 2 - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [3000, 3001])
+    def test_symmetric_sequence_at_the_nodes(self, d):
+        rng = np.random.default_rng(d)
+        k = (d + 2) // 2
+        for scale in (np.pi, 0.1):
+            full = _symmetric_full(rng.uniform(-scale, scale, k), d)
+            got = _node_top_row(full, k)
+            for g, w in zip(got, _top_row(full, _nodes(k))):
+                assert np.max(np.abs(g - w)) < 1e-9, (d, scale)
+            assert np.max(np.abs(abs(got[0]) ** 2 + abs(got[1]) ** 2 - 1)) <= 1e-13
+
+    def test_chebyshev_series_at_the_nodes(self):
+        rng = np.random.default_rng(42)
+        for d, k in ((0, 1), (7, 4), (8, 5), (3001, 1501)):
+            c = rng.standard_normal(d + 1)
+            want = np.polynomial.chebyshev.chebval(_nodes(k), c)
+            assert np.max(np.abs(_chebyshev_at_nodes(c, k) - want)) < 1e-12 * np.sum(np.abs(c))
 
 
 class TestSingularValueTransformNode:
