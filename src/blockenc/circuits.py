@@ -7,19 +7,29 @@ each repeated part once); `Circuit` range-checks, and `gate_counts` and
 `t_count_estimate` count, each distinct object once.
 
 `Circuit.apply` runs a program compiled from the gate list on first use and
-cached on the circuit, so it lives exactly as long as the `Circuit`:
+cached on the circuit, so it lives exactly as long as the `Circuit`.  The
+program keeps the state under a layout, a map from each qubit to a bit of
+the storage index:
 
+- before each gate that is not classical, the layout changes so that the
+  gate's controls sit on the top bits and its target on the bit below them
+  (a kernel right after another keeps a layout that already fits it).  The
+  gate then acts on one contiguous block,
+  `state.reshape(2^c, 2, -1)[values of its c controls]`: H and RY by one
+  real 2x2 matmul on the float64 view, Y and RX by one complex matmul, Z, S,
+  T, Phase and RZ by in-place scalar multiplies of the two halves, and a
+  global phase by one in-place multiply of `state.reshape(2^c, -1)[...]`;
 - each maximal run of classical gates (X, Swap, Permutation, any controls)
-  becomes one index array `perm`, applied as `state[perm]`.  It is built by
-  pushing `arange(2^n)` through the run once, and equal runs within the
-  circuit (the QSVT sequence repeats a few of them d times) share one array;
-- every other gate updates the state in place through basic-indexed views of
-  the state reshaped to `(2,) * n + (columns,)`: controls fix their axes to
-  an integer and the target axis selects the 0/1 slices, so a gate with c
-  controls touches 2^(n-c) amplitudes and builds no index masks.
+  becomes one index array `perm`, applied as `state[perm]`, that also moves
+  the state from the layout before the run to the one after it.  It is
+  built by bit arithmetic on `arange(2^n)`.  Two kernels with no run between
+  them get a gather of their own if their layouts differ, and a last gather
+  restores the logical order.  Repeated gate objects share their steps, so
+  the QSVT sequence, which repeats a few runs d times, keeps a few arrays.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,31 +41,34 @@ import numpy as np
 
 PI = math.pi
 
-# Gate kinds with a fixed 2x2 matrix.
-_SIMPLE_1Q = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * PI / 4)]], dtype=complex),
-}
+_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+_Y = np.array([[0, -1j], [1j, 0]])
 
-_PARAM_1Q = {
-    "Phase": lambda t: np.array([[1, 0], [0, np.exp(1j * t)]], dtype=complex),
+# The 2x2 matrix of each one-qubit kind that moves amplitude between the two
+# halves; H and RY are real, and their matrices have a real dtype.
+_MATRIX_1Q = {
+    "Y": lambda t: _Y,
+    "H": lambda t: _H,
     "RX": lambda t: np.array(
         [[math.cos(t / 2), -1j * math.sin(t / 2)],
-         [-1j * math.sin(t / 2), math.cos(t / 2)]], dtype=complex),
+         [-1j * math.sin(t / 2), math.cos(t / 2)]]),
     "RY": lambda t: np.array(
         [[math.cos(t / 2), -math.sin(t / 2)],
-         [math.sin(t / 2), math.cos(t / 2)]], dtype=complex),
-    "RZ": lambda t: np.array(
-        [[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]], dtype=complex),
+         [math.sin(t / 2), math.cos(t / 2)]]),
+}
+
+# The two diagonal entries of each diagonal one-qubit kind.
+_DIAGONAL_1Q = {
+    "Z": lambda t: (1, -1),
+    "S": lambda t: (1, 1j),
+    "T": lambda t: (1, cmath.exp(1j * PI / 4)),
+    "Phase": lambda t: (1, cmath.exp(1j * t)),
+    "RZ": lambda t: (cmath.exp(-1j * t / 2), cmath.exp(1j * t / 2)),
 }
 
 _SELF_INVERSE = frozenset({"X", "Y", "Z", "H", "Swap"})
 _NEGATE_PARAM = frozenset({"Phase", "RX", "RY", "RZ", "GlobalPhase"})
-KINDS = frozenset(_SIMPLE_1Q) | frozenset(_PARAM_1Q) | {"GlobalPhase", "Swap", "Permutation"}
+KINDS = frozenset(_MATRIX_1Q) | frozenset(_DIAGONAL_1Q) | {"X", "GlobalPhase", "Swap", "Permutation"}
 
 
 class UnsupportedGateError(ValueError):
@@ -183,19 +196,15 @@ class Circuit:
 
     def apply(self, state):
         """Apply the gate sequence to a statevector (or column-stacked matrix)."""
-        st = np.array(state, dtype=complex)
+        st = np.array(state, dtype=complex, order="C")  # kernels update views of it
         flat = st.ndim == 1
         if flat:
             st = st[:, None]
         if st.shape[0] != 1 << self.n_qubits:
             raise ValueError(
                 f"state has {st.shape[0]} amplitudes, circuit needs {1 << self.n_qubits}")
-        shape = (2,) * self.n_qubits + (st.shape[1],)
         for step in self._program:
-            if isinstance(step, np.ndarray):
-                st = np.take(st, step, axis=0)
-            else:
-                step.run(st.reshape(shape))
+            st = np.take(st, step, axis=0) if isinstance(step, np.ndarray) else step.run(st)
         return st[:, 0] if flat else st
 
     @cached_property
@@ -220,92 +229,144 @@ def _occurrences(gates):
     return [(first[i], n) for i, n in times.items()]
 
 
-# Gates that only move amplitudes; X and Swap as permutation tables of their targets.
+# Gates that only move amplitudes.
 _CLASSICAL = frozenset({"X", "Swap", "Permutation"})
-_MOVE_TABLES = {"X": (1, 0), "Swap": (0, 2, 1, 3)}
 
 
-class _OneQubit(NamedTuple):
-    """A 2x2 matrix applied to the target's 0 and 1 slices."""
+class _Matrix(NamedTuple):
+    """A 2x2 matrix on one contiguous `(2, L)` block of the state.
 
-    index0: tuple
-    index1: tuple
+    A real matrix acts on the float64 view, whose rows hold real and
+    imaginary parts side by side, so it runs as one real matmul."""
+
+    shape: tuple
+    block: int
     matrix: np.ndarray
 
-    def run(self, v):
-        a, b = v[self.index0], v[self.index1]
-        (m00, m01), (m10, m11) = self.matrix
-        new_a = m00 * a + m01 * b
-        b[...] = m10 * a + m11 * b
-        a[...] = new_a
+    def run(self, st):
+        v = st if self.matrix.dtype == complex else st.view(np.float64)
+        if self.shape[0] == 1:  # no controls: the product is the new state, not copied back
+            return (self.matrix @ v.reshape(2, -1)).view(complex).reshape(st.shape)
+        v = v.reshape(self.shape)[self.block]
+        v[...] = self.matrix @ v
+        return st
 
 
-class _Phase(NamedTuple):
-    """A (controlled) global phase."""
+class _Scale(NamedTuple):
+    """In-place scalar multiplies of contiguous blocks: a diagonal gate's two
+    halves, or the one block of a (controlled) global phase."""
 
-    index: tuple
-    factor: complex
+    shape: tuple
+    factors: tuple  # (index into st.reshape(shape), factor) pairs
 
-    def run(self, v):
-        block = v[self.index]
-        block *= self.factor
-
-
-def _index(n, bits):
-    """Basic index into a `(2,) * n + ...` view fixing qubit q to b for each
-    (q, b) in bits."""
-    idx = [slice(None)] * n
-    for q, b in bits:
-        idx[n - 1 - q] = b
-    return tuple(idx)
+    def run(self, st):
+        v = st.reshape(self.shape)
+        for index, factor in self.factors:
+            v[index] *= factor
+        return st
 
 
-def _move(v, g, n):
-    """Apply classical gate g in place to v of shape `(2,) * n + ...`.
-
-    Target block j (target i is bit i of j) moves to block table[j].
-    """
-    table = _MOVE_TABLES.get(g.kind, g.table)
-
-    def block(j):
-        return _index(n, g.controls + tuple((q, (j >> i) & 1) for i, q in enumerate(g.targets)))
-
-    moved = {j: v[block(j)].copy() for j, k in enumerate(table) if j != k}
-    for j, src in moved.items():
-        v[block(table[j])] = src
+def _fits(order, g):
+    """Whether layout `order` (the qubit at each storage bit, lowest first)
+    has g's controls on its top bits and g's target just below them."""
+    n, c = len(order), len(g.controls)
+    below = n - c - len(g.targets)
+    return (order[below:n - c] == g.targets
+            and set(order[n - c:]) == {q for q, _ in g.controls})
 
 
-def _step(g, n):
-    """The view kernel of one gate that is not classical."""
+def _layout(g, n):
+    """The layout a gate gets when the current one does not fit it: the other
+    qubits in ascending order, then its target, then its controls."""
+    top = g.targets + tuple(q for q, _ in g.controls)
+    return tuple(q for q in range(n) if q not in top) + top
+
+
+def _kernel(g, order):
+    """The kernel of a gate that is not classical, on a layout that fits it."""
+    n, c = len(order), len(g.controls)
+    block = sum(p << order.index(q) for q, p in g.controls) >> (n - c)
     if g.kind == "GlobalPhase":
-        return _Phase(_index(n, g.controls), np.exp(1j * g.param))
-    m = _SIMPLE_1Q[g.kind] if g.kind in _SIMPLE_1Q else _PARAM_1Q[g.kind](g.param)
-    t = g.targets[0]
-    return _OneQubit(_index(n, g.controls + ((t, 0),)), _index(n, g.controls + ((t, 1),)), m)
+        return _Scale((1 << c, -1), ((block, cmath.exp(1j * g.param)),))
+    if g.kind in _DIAGONAL_1Q:
+        return _Scale((1 << c, 2, -1), tuple(((block, i), f) for i, f in
+                                             enumerate(_DIAGONAL_1Q[g.kind](g.param)) if f != 1))
+    return _Matrix((1 << c, 2, -1), block, _MATRIX_1Q[g.kind](g.param))
 
 
-def _gather(run, n):
-    """Index array of a classical run: `arange(2^n)` pushed through its gates."""
-    perm = np.arange(1 << n)
-    for g in run:
-        _move(perm.reshape((2,) * n), g, n)
-    return perm
+def _source(g, x):
+    """For classical gate g and basis indices x, the index each one's
+    amplitude comes from: g^-1 elementwise, by bit arithmetic."""
+    if g.kind == "X":
+        moved = x ^ (1 << g.targets[0])
+    else:  # target block j (target i is bit i of j) moves to block table[j]
+        table = (0, 2, 1, 3) if g.kind == "Swap" else g.table
+        placed = [0] * len(table)  # placed[table[j]]: the bits of block j on the targets
+        for j, k in enumerate(table):
+            placed[k] = sum(((j >> i) & 1) << q for i, q in enumerate(g.targets))
+        block = 0
+        for i, q in enumerate(g.targets):
+            block = block | (((x >> q) & 1) << i)
+        moved = (x & ~sum(1 << q for q in g.targets)) | np.array(placed)[block]
+    if not g.controls:
+        return moved
+    mask = value = 0
+    for q, p in g.controls:
+        mask, value = mask | 1 << q, value | p << q
+    return np.where((x & mask) == value, moved, x)
+
+
+def _spread(index, order):
+    """`index` (an arange) with bit b of each entry moved to bit order[b]."""
+    n = len(order)
+    return index.reshape((2,) * n).transpose([n - 1 - q for q in reversed(order)]).ravel()
 
 
 def _compile(gates, n):
-    """The simulation program of a gate list: gather arrays and view kernels.
+    """The simulation program of a gate list: index arrays and block kernels.
 
-    Equal gates, and equal runs of classical gates, share one step: the QSVT
-    sequence repeats the same few blocks d times.
+    `order[b]` is the qubit at storage bit b.  After a run the layout
+    becomes the next gate's own, folded into the run's gather; between two
+    kernels it changes, by a gather of its own, only if the second does not
+    fit it.
     """
+    identity = tuple(range(n))
+    index = np.arange(1 << n)
+    gathers = {}  # (layout before, ids of a run's gates, layout after) -> index array
+    kernels = {}  # (id of a gate, layout) -> its kernel
+    layouts = {}  # id of a gate -> the layout it moves to
+
+    def gather(before, run, after):
+        key = (before, tuple(map(id, run)), after)
+        x = gathers.get(key)
+        if x is None:
+            x = _spread(index, after)  # the logical index at each storage index
+            for g in reversed(run):
+                x = _source(g, x)
+            if before != identity:  # the storage index of each logical one
+                x = _spread(index, [before.index(q) for q in identity])[x]
+            gathers[key] = x
+        return x
+
     program = []
-    shared = {}  # a gate, or a run of classical gates -> its step
+    order, run = identity, ()
     for classical, group in groupby(gates, key=lambda g: g.kind in _CLASSICAL):
-        for key in [tuple(group)] if classical else group:
-            step = shared.get(key)
+        if classical:
+            run = tuple(group)
+            continue
+        for g in group:
+            if run or not _fits(order, g):
+                new = layouts.get(id(g))
+                if new is None:
+                    new = layouts[id(g)] = _layout(g, n)
+                program.append(gather(order, run, new))
+                order, run = new, ()
+            step = kernels.get((id(g), order))
             if step is None:
-                step = shared[key] = _gather(key, n) if classical else _step(key, n)
+                step = kernels[id(g), order] = _kernel(g, order)
             program.append(step)
+    if run or order != identity:
+        program.append(gather(order, run, identity))
     return tuple(program)
 
 

@@ -264,13 +264,19 @@ class Node:
             raise ValueError(f"input length {v.shape[0]} != dim_in {self.dim_in}")
         circ = self.circuit()
         total = circ.n_qubits
-        if (1 << total) > get_budget().max_amplitudes:
+        budget = get_budget().max_amplitudes
+        if (1 << total) > budget:
             raise BudgetExceededError(
                 f"simulation needs 2^{total} amplitudes, over budget")
-        state = np.zeros((1 << total, v.shape[1]), dtype=complex)
-        state[self.subspace_in.enumerate_basis(), :] = v
-        state = circ.apply(state)
-        block = state[self.subspace_out.enumerate_basis(), :] * self.normalization
+        rows_in = self.subspace_in.enumerate_basis()
+        rows_out = self.subspace_out.enumerate_basis()
+        batch = max(1, budget >> total)  # columns per state, so each state keeps the budget
+        block = np.empty((len(rows_out), v.shape[1]), dtype=complex)
+        for j in range(0, v.shape[1], batch):
+            state = np.zeros((1 << total, min(batch, v.shape[1] - j)), dtype=complex)
+            state[rows_in, :] = v[:, j:j + batch]
+            block[:, j:j + batch] = circ.apply(state)[rows_out, :]
+        block *= self.normalization
         out_n = np.linalg.norm(block, axis=0)
         in_n = np.linalg.norm(v, axis=0) * self.normalization
         bounded = not np.any(out_n > in_n * (1 + 1e-9) + 1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockenc.circuits import (
+    KINDS,
     Circuit,
     Gate,
     UnsupportedGateError,
@@ -20,6 +21,7 @@ from blockenc.circuits import (
 )
 
 RNG = np.random.default_rng(2024)
+PARAM_KINDS = ("Phase", "RX", "RY", "RZ", "GlobalPhase")
 
 
 def random_circuit(rng, n_qubits, n_gates, with_permutation=False):
@@ -48,7 +50,7 @@ def random_circuit(rng, n_qubits, n_gates, with_permutation=False):
         if kind == "Permutation":
             table = tuple(int(v) for v in rng.permutation(1 << len(targets)))
             gates.append(Gate(kind, targets, controls, table=table))
-        elif kind in ("Phase", "RX", "RY", "RZ", "GlobalPhase"):
+        elif kind in PARAM_KINDS:
             gates.append(Gate(kind, targets, controls, param))
         else:
             gates.append(Gate(kind, targets, controls))
@@ -142,16 +144,34 @@ def random_states(rng, n, cols):
     return v / np.linalg.norm(v, axis=0)
 
 
-def repeated_run_circuit():
-    """The same classical run four times, interleaved with rotations and
-    controlled global phases, on 3 main qubits and 1 ancilla."""
+def repeated_run_circuit(repeats=4):
+    """The same classical run (the same gate objects) repeated, interleaved
+    with rotations and controlled global phases, on 3 main qubits and 1 ancilla."""
     run = [x(0), x(2, [(1, 0)]), swap(0, 3, [(2, 1)]),
            permutation([2, 0, 3, 1], [1, 3], [(0, 0)]), x(1, [(0, 1), (3, 0)])]
     gates = []
-    for k in range(4):
+    for k in range(repeats):
         gates += run + [ry(0.3 + k, 1, [(2, 0)]), rz(-0.7 * k, 3),
                         global_phase(0.4, [(0, 1), (1, 0)]), Gate("Y", (2,), ((3, 0),))]
     return Circuit(3, 1, tuple(gates))
+
+
+def distinct_index_arrays(circ):
+    return len({id(s) for s in circ._program if isinstance(s, np.ndarray)})
+
+
+def assert_matches_reference(circ, cols=3, seed=0):
+    """`apply` within 1e-12 of the reference on C-ordered, Fortran-ordered and
+    flat inputs, leaving each input unchanged."""
+    states = random_states(np.random.default_rng(seed), circ.n_qubits, cols)
+    want = reference_apply(circ, states)
+    for given, expected in [(states, want), (np.asfortranarray(states), want),
+                            (states[:, 0].copy(), want[:, 0])]:
+        before = given.copy()
+        got = circ.apply(given)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert np.array_equal(given, before)
 
 
 class TestReference:
@@ -169,7 +189,7 @@ class TestReference:
             assert np.max(np.abs(got - want)) <= 1e-12
             assert np.array_equal(states, before)
             assert np.array_equal(circ.apply(states), got)  # from the cached program
-            # the view kernels must also update Fortran-ordered and flat inputs
+            # the block kernels must also handle Fortran-ordered and flat inputs
             assert np.max(np.abs(circ.apply(np.asfortranarray(states)) - want)) <= 1e-12
             assert np.max(np.abs(circ.apply(states[:, 0]) - want[:, 0])) <= 1e-12
 
@@ -193,8 +213,69 @@ class TestReference:
         circ = repeated_run_circuit()
         states = random_states(np.random.default_rng(24), 4, 5)
         assert np.max(np.abs(circ.apply(states) - reference_apply(circ, states))) <= 1e-12
-        gathers = [s for s in circ._program if isinstance(s, np.ndarray)]
-        assert len(gathers) == 4 and all(s is gathers[0] for s in gathers)
+        # index arrays are shared between repeats: memory is O(distinct runs)
+        assert distinct_index_arrays(repeated_run_circuit(4)) == \
+            distinct_index_arrays(repeated_run_circuit(8))
+
+    def test_kernels_back_to_back_on_different_qubits(self):
+        """No classical gate in between, so each change of layout is a gather
+        of its own; the circuit ends on a kernel."""
+        gates = (h(0), ry(0.3, 2, [(0, 1)]), rz(0.4, 3), Gate("RX", (1,), ((3, 0), (2, 1)), 0.7),
+                 Gate("Y", (0,)), phase(0.2, 2, [(1, 0)]), h(3, [(0, 0)]), Gate("T", (1,)),
+                 global_phase(0.9, [(2, 1)]), ry(-1.1, 0, [(3, 1), (1, 0), (2, 1)]))
+        circ = Circuit(3, 1, gates)
+        assert_matches_reference(circ)
+        assert isinstance(circ._program[-1], np.ndarray)  # back to logical order
+        assert sum(isinstance(s, np.ndarray) for s in circ._program) > 1
+
+    @pytest.mark.parametrize("last", [ry(0.5, 1, [(2, 0)]), x(1, [(2, 0)])],
+                             ids=["kernel", "gather"])
+    def test_circuit_ends_on_a_kernel_or_a_gather(self, last):
+        circ = Circuit(3, 0, (h(2), x(0), rz(0.3, 0, [(1, 1)]), swap(0, 2), last))
+        assert_matches_reference(circ)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS - {"GlobalPhase"}))
+    def test_every_kind_with_controls_of_both_polarities(self, kind):
+        """Real (H, RY), complex (Y, RX), diagonal and classical kinds, each with
+        0 to 3 controls of random polarity on random qubits of 5."""
+        rng = np.random.default_rng(sorted(KINDS).index(kind))
+        width = {"Swap": 2, "Permutation": 3}.get(kind, 1)
+        for n_ctrl in range(4):
+            for _ in range(3):
+                qubits = [int(q) for q in rng.permutation(5)]
+                targets, controls = qubits[:width], qubits[width:width + n_ctrl]
+                g = Gate(kind, tuple(targets), tuple((q, int(rng.integers(2))) for q in controls),
+                         float(rng.uniform(-np.pi, np.pi)) if kind in PARAM_KINDS else None,
+                         tuple(int(t) for t in rng.permutation(8)) if kind == "Permutation" else None)
+                assert_matches_reference(Circuit(4, 1, (h(qubits[-1]), g)))
+                assert_matches_reference(Circuit(4, 1, (g,)))
+
+    def test_global_phase_with_zero_to_three_controls(self):
+        rng = np.random.default_rng(31)
+        for n_ctrl in range(4):
+            qubits = [int(q) for q in rng.permutation(4)]
+            controls = tuple((q, int(rng.integers(2))) for q in qubits[:n_ctrl])
+            gates = (ry(0.4, qubits[-1]), global_phase(1.3, controls), x(qubits[0]),
+                     global_phase(-0.6, controls[::-1]))
+            assert_matches_reference(Circuit(3, 1, gates))
+
+    def test_repeated_gate_on_two_layouts(self):
+        """The phase first runs on the rotation's layout, which fits it with its
+        controls in the other order, then, after an X, on its own layout."""
+        g = global_phase(0.7, [(4, 0), (3, 1)])
+        circ = Circuit(5, 0, (ry(0.3, 3, [(4, 1)]), g, x(0), g, Gate("S", (1,), ((3, 1), (4, 0))), g))
+        assert_matches_reference(circ)
+
+    @pytest.mark.parametrize("main, ancillas, gates", [
+        (0, 0, ()),
+        (0, 0, (global_phase(0.7),)),
+        (1, 0, (h(0),)),
+        (1, 0, (x(0), ry(0.3, 0), global_phase(0.2, [(0, 1)]), phase(0.5, 0))),
+        (0, 1, (h(0), global_phase(0.2, [(0, 0)]))),
+        (2, 2, (h(3), x(0, [(3, 1)]), ry(0.3, 2, [(0, 1), (3, 0)]), swap(1, 2))),
+    ])
+    def test_small_registers_and_ancillas(self, main, ancillas, gates):
+        assert_matches_reference(Circuit(main, ancillas, gates))
 
 
 class TestUnitarity:

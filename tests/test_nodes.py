@@ -275,6 +275,29 @@ class TestCachesAndBudget:
         # a refused evaluation is not cached
         assert np.array_equal(node.toarray(), np.roll(np.eye(8), 1, axis=0))
 
+    def test_verify_keeps_each_simulated_state_within_the_budget(self, monkeypatch):
+        # 4 qubits and 8 columns: one state of all columns would hold 128 amplitudes
+        node = be.Increment(bits=3) + be.Identity(dim=8)
+        want = node.verify()
+        shapes = []
+        apply = Circuit.apply
+
+        def recording_apply(circ, state):
+            shapes.append(np.shape(state))
+            return apply(circ, state)
+
+        monkeypatch.setattr(Circuit, "apply", recording_apply)
+        old = get_budget()
+        try:
+            set_budget(Budget(max_amplitudes=16))
+            got = node.verify()
+        finally:
+            set_budget(old)
+        assert node.circuit().n_qubits == 4
+        assert shapes and all(np.prod(s) <= 16 for s in shapes)
+        assert sum(s[1] for s in shapes) == 8
+        assert got == want
+
     def test_resources_of_a_small_node_over_a_large_operand(self):
         # 4x4 slice of a transform whose operand is 8192 wide: the report is
         # complete except eta, which needs that operand's dense matrix

@@ -454,16 +454,7 @@ class TestPseudoinverse:
         # Laplace N=4 solution, 72,179 gates.  The phase steps repeat the two
         # sector marks and the child and its adjoint by reference, so under
         # 1,000 distinct gate objects exist; a Gate per occurrence would trace ~25 MB
-        n = 4
-        ident = be.Identity(dim=2 ** n)
-        shift = be.Increment(bits=n)
-        a = 2 ** n * (2 * ident - shift.adjoint() - shift)[:-1, :-1]
-        rhs = be.ConstantVector(0.5 * np.ones(2))
-        for _ in range(n - 1):
-            rhs = rhs & be.ConstantVector(0.5 * np.ones(2))
-        a_inv = be.Pseudoinverse(a, condition=float(np.linalg.cond(a.toarray(), 2)),
-                                 tolerance=0.01)
-        solution = a_inv @ rhs[:-1]
+        a_inv, solution = laplace_solution(4)
         assert a_inv.phase_residual <= 1e-8  # solve outside the traced window
         tracemalloc.start()
         try:
@@ -474,3 +465,38 @@ class TestPseudoinverse:
         assert len(circ.gates) == 72179
         assert len({id(g) for g in circ.gates}) < 1000
         assert peak < 4 * 2**20
+
+
+class TestLaplaceSimulation:
+    # `simulate` of the N=3 solution (12 qubits, 10,756 gates) on the input 1,
+    # recorded when every 2x2 kernel still ran on strided views of the state
+    N3_GOLDEN = [0.054505074929518144, 0.09345434461789699, 0.11683604729476316,
+                 0.12463664204477154, 0.11683604729476312, 0.09345434461789717,
+                 0.05450507492951828]
+
+    def test_n3_solution_matches_the_recorded_output(self):
+        _, solution = laplace_solution(3)
+        first = solution.simulate(np.ones(1, dtype=complex))
+        assert np.max(np.abs(first - self.N3_GOLDEN)) <= 1e-12
+        assert np.array_equal(solution.simulate(np.ones(1, dtype=complex)), first)  # cached program
+
+    def test_index_arrays_do_not_grow_with_the_degree(self):
+        # degrees 223 and 879: the phase steps reuse a few gathers, so the
+        # compiled program keeps a small fixed number of 2^n-entry index arrays
+        for n in (3, 4):
+            circ = laplace_solution(n)[1].circuit()
+            arrays = {id(s) for s in circ._program if isinstance(s, np.ndarray)}
+            assert len(arrays) <= 24
+
+
+def laplace_solution(n):
+    """(pseudoinverse, solution) of the 1D Laplace system of `be demo laplace`."""
+    ident = be.Identity(dim=2 ** n)
+    shift = be.Increment(bits=n)
+    a = 2 ** n * (2 * ident - shift.adjoint() - shift)[:-1, :-1]
+    rhs = be.ConstantVector(0.5 * np.ones(2))
+    for _ in range(n - 1):
+        rhs = rhs & be.ConstantVector(0.5 * np.ones(2))
+    a_inv = be.Pseudoinverse(a, condition=float(np.linalg.cond(a.toarray(), 2)),
+                             tolerance=0.01)
+    return a_inv, a_inv @ rhs[:-1]
