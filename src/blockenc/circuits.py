@@ -3,8 +3,13 @@
 Qubit 0 is the least significant bit of a basis index; amplitude arrays are
 little-endian throughout.  Circuits are immutable; simulation never mutates
 its input state.  A gate tuple may repeat one `Gate` object (lowering builds
-each repeated part once); `Circuit` range-checks, and `gate_counts` and
-`t_count_estimate` count, each distinct object once.
+each repeated part once); `Circuit` range-checks, `adjoint` inverts, and
+`gate_counts` and `t_count_estimate` count, each distinct object once.
+
+Lowering works on items before it builds a `Circuit`: an item is a `Gate` or
+a block, a tuple of gates spliced in by reference, so a sequence that repeats
+a block d times holds d references to one tuple.  `flatten`, `inverted` and
+`item_counts` act on items, each distinct gate and block once.
 
 `Circuit.apply` runs a program compiled from the gate list on first use and
 cached on the circuit, so it lives exactly as long as the `Circuit`.  The
@@ -176,8 +181,7 @@ class Circuit:
         return self.main_qubits + self.ancilla_qubits
 
     def adjoint(self) -> "Circuit":
-        return Circuit(self.main_qubits, self.ancilla_qubits,
-                       tuple(g.inverse() for g in reversed(self.gates)))
+        return Circuit(self.main_qubits, self.ancilla_qubits, tuple(inverted(self.gates)))
 
     def concat(self, other: "Circuit") -> "Circuit":
         if (other.main_qubits, other.ancilla_qubits) != (self.main_qubits, self.ancilla_qubits):
@@ -185,14 +189,7 @@ class Circuit:
         return Circuit(self.main_qubits, self.ancilla_qubits, self.gates + other.gates)
 
     def gate_counts(self, lower_permutations: bool = False) -> dict[str, int]:
-        counts = {}
-        for g, n in _occurrences(self.gates):
-            lowered = (lower_permutation_gate(g) if lower_permutations and g.kind == "Permutation"
-                       else (g,))
-            for lg in lowered:
-                key = lg.count_key()
-                counts[key] = counts.get(key, 0) + n
-        return counts
+        return _tally(_occurrences(self.gates), lower_permutations)
 
     def apply(self, state):
         """Apply the gate sequence to a statevector (or column-stacked matrix)."""
@@ -221,12 +218,67 @@ class Circuit:
 
 
 def _occurrences(gates):
-    """(gate, occurrences) for each distinct gate object, in order of first occurrence."""
+    """(object, occurrences) for each distinct object, in order of first occurrence."""
     first = dict(zip(map(id, gates), gates))
     if len(first) == len(gates):  # nothing repeats, as in most small circuits
         return [(g, 1) for g in gates]
     times = Counter(map(id, gates))
     return [(first[i], n) for i, n in times.items()]
+
+
+def _tally(pairs, lower_permutations: bool = False) -> dict[str, int]:
+    """Gate counts by `Gate.count_key` of (gate, occurrences) pairs."""
+    counts = {}
+    for g, n in pairs:
+        lowered = (lower_permutation_gate(g) if lower_permutations and g.kind == "Permutation"
+                   else (g,))
+        for lg in lowered:
+            key = lg.count_key()
+            counts[key] = counts.get(key, 0) + n
+    return counts
+
+
+def flatten(items) -> tuple[Gate, ...]:
+    """The gate tuple of a sequence of gates and blocks; a tuple without
+    blocks is its own."""
+    if all(isinstance(it, Gate) for it in items):
+        return tuple(items)
+    gates = []
+    for it in items:
+        if isinstance(it, Gate):
+            gates.append(it)
+        else:
+            gates.extend(it)
+    return tuple(gates)
+
+
+def inverted(items) -> list:
+    """The inverse of a sequence of gates and blocks: the items in reverse
+    order, a gate replaced by its inverse and a block by the reversed tuple of
+    its gates' inverses.  Each distinct gate and block is inverted once, so
+    whatever the sequence repeats, its inverse repeats too."""
+    new = {}  # id -> inverse; `items` keeps every id live meanwhile
+
+    def inverse(it):
+        out = new.get(id(it))
+        if out is None:
+            out = new[id(it)] = (it.inverse() if isinstance(it, Gate)
+                                 else tuple(map(inverse, reversed(it))))
+        return out
+
+    return [inverse(it) for it in reversed(items)]
+
+
+def item_counts(items) -> dict[str, int]:
+    """`Circuit.gate_counts` of the flattened items, in the same key order,
+    with each distinct block counted once and weighted by its occurrences."""
+    pairs = []
+    for it, n in _occurrences(items):
+        if isinstance(it, Gate):
+            pairs.append((it, n))
+        else:
+            pairs.extend((g, k * n) for g, k in _occurrences(it))
+    return _tally(pairs)
 
 
 # Gates that only move amplitudes.

@@ -1,25 +1,25 @@
 """Composite nodes: adjoint, scaling, product, tensor, block diagonal, addition.
 
 Each composite derives its normalization and subspaces structurally, its
-direct rule from the children's direct rules, and its circuit by embedding
-the children's circuits (persistent flags kept apart, scratch shared).
+direct rule from the children's direct rules, and its structure by embedding
+the children's items (persistent flags kept apart, scratch shared).
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
-from .circuits import Gate, global_phase, permutation, ry
+from .circuits import Gate, global_phase, inverted, permutation, ry
 from .nodes import Layout, Node, ProxyNode, Wrapper
 from .primitives import ConstantVector, Identity, Permutation, Projection
 from .subspaces import ScratchPool, Subspace, membership_flip_gates
 
 
 class Adjoint(Wrapper):
-    """Conjugate transpose: swapped subspaces, reversed and inverted circuit."""
+    """Conjugate transpose: swapped subspaces, reversed and inverted items."""
 
     def __init__(self, a: Node):
         self.a = a
@@ -34,8 +34,10 @@ class Adjoint(Wrapper):
     def adjoint_compute(self, w):
         return self.a.compute(w)
 
-    def _lower(self):
-        return self.a.circuit().adjoint(), self.a.persistent_ancillas
+    @cached_property
+    def _structure(self):
+        items, pers, ancillas = self.a._structure
+        return tuple(inverted(items)), pers, ancillas
 
     @property
     def exact_forward(self):
@@ -102,12 +104,13 @@ class Scale(Wrapper):
     def adjoint_compute(self, w):
         return self.factor.conjugate() * self.a.adjoint_compute(w)
 
-    def _lower(self):
-        circ, pers = super()._lower()
+    @cached_property
+    def _structure(self):
         arg = cmath.phase(self.factor)
-        if arg != 0.0:
-            circ = replace(circ, gates=circ.gates + (global_phase(arg),))
-        return circ, pers
+        if arg == 0.0:
+            return self.a._structure
+        items, pers, ancillas = self.a._structure
+        return items + (global_phase(arg),), pers, ancillas
 
     def __repr__(self):
         return f"Scale({self.factor}, {self.a!r})"

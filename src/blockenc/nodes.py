@@ -11,8 +11,15 @@ must be |0> in the accepted output sector and are never reused), then scratch
 sequential children in stack fashion).  Composites place their children with
 `Layout`, the one implementation of this rule: the composite's own flags,
 then each child's flag block in child order (`a` before `b`), then the shared
-scratch; `Layout.embed` relabels each distinct child gate once, and the QSVT
-sequence repeats its child, adjoint and sector marks by reference.
+scratch.
+
+Lowering is structural: each node's `_structure` is a sequence of items
+(gates, and blocks that are tuples of gates spliced in by reference) plus its
+ancilla counts.  `Layout.embed` relabels a child's items, each distinct gate
+and block once; the QSVT sequence repeats its child, the child's adjoint and
+its sector marks as blocks, so the N=5 Laplace solution's 519,530 gates are
+about 21,000 items.  `resources` counts gates from the items, each distinct
+block once, and builds no `Circuit`; `circuit()` flattens the items once.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, flatten, item_counts
 from .subspaces import Subspace
 
 
@@ -134,9 +141,12 @@ class Node:
     """Immutable vertex of the block-encoding DAG.
 
     Subclasses provide `_raw_subspaces`, `normalization`, `compute`,
-    `adjoint_compute`, and `_parts` (gate list plus persistent/scratch ancilla
-    counts), or override `_lower` to return a finished (circuit, persistent
-    ancillas) pair.  Everything else, including caching, lives here.
+    `adjoint_compute`, and `_parts` (items plus persistent/scratch ancilla
+    counts, where an item is a `Gate` or a shared block, a tuple of gates),
+    or override `_structure` to derive the items from another node's.  Both
+    the circuit and the resource report are built from `_structure`, so a
+    subclass overrides `_structure`, not `_lower`.  Everything else,
+    including caching, lives here.
 
     `compute` and `adjoint_compute` take a vector of length dim or a (dim, k)
     column stack, act along axis 0 and return the rank they were given, so
@@ -161,8 +171,10 @@ class Node:
     def adjoint_compute(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _parts(self) -> tuple[list[Gate], int, int]:
-        """(gates, persistent ancillas, scratch ancillas) over this node's register."""
+    def _parts(self) -> tuple[list, int, int]:
+        """(items, persistent ancillas, scratch ancillas) over this node's
+        register; no item is an empty block, so a node without gates has no
+        items."""
         raise NotImplementedError
 
     # Certificates that the unitary maps the input sector exactly into the
@@ -208,25 +220,30 @@ class Node:
     def is_vector(self) -> bool:
         return self.dim_in == 1
 
-    def _lower(self) -> tuple[Circuit, int]:
-        """(circuit, persistent ancillas); built from `_parts` unless overridden."""
-        gates, pers, scr = self._parts()
-        return Circuit(self.main_qubits, pers + scr, tuple(gates)), pers
+    @cached_property
+    def _structure(self) -> tuple[tuple, int, int]:
+        """(items, persistent ancillas, all ancillas), from `_parts`."""
+        items, pers, scr = self._parts()
+        return tuple(items), pers, pers + scr
+
+    def _lower(self) -> Circuit:
+        items, _, ancillas = self._structure
+        return Circuit(self.main_qubits, ancillas, flatten(items))
 
     @cached_property
-    def _lowered(self) -> tuple[Circuit, int]:
+    def _lowered(self) -> Circuit:
         return self._lower()
 
     def circuit(self) -> Circuit:
-        return self._lowered[0]
+        return self._lowered
 
     @property
     def persistent_ancillas(self) -> int:
-        return self._lowered[1]
+        return self._structure[1]
 
     @property
     def ancilla_count(self) -> int:
-        return self.circuit().ancilla_qubits
+        return self._structure[2]
 
     # -- evaluation ---------------------------------------------------------
     @cached_property
@@ -306,16 +323,17 @@ class Node:
         return float(np.linalg.norm(self.toarray(), 2)) / self.normalization
 
     def resources(self) -> ResourceReport:
-        circ = self.circuit()
+        """The report of `circuit()`, counted from `_structure` without building it."""
+        items, _, ancillas = self._structure
         try:
             eta = self.info_efficiency()
         except BudgetExceededError:  # this node or one below it is past the dense budget
             eta = None
         return ResourceReport(
-            main_qubits=circ.main_qubits,
-            ancilla_qubits=circ.ancilla_qubits,
-            total_qubits=circ.n_qubits,
-            gate_counts=circ.gate_counts(),
+            main_qubits=self.main_qubits,
+            ancilla_qubits=ancillas,
+            total_qubits=self.main_qubits + ancillas,
+            gate_counts=item_counts(items),
             normalization=self.normalization,
             info_efficiency=eta,
             assumptions=self.assumptions,
@@ -380,7 +398,8 @@ class Node:
 class Wrapper(Node):
     """A node over one inner node (`a`) whose subspaces, certificates,
     assumptions, arithmetic and circuit pass through unchanged unless a
-    subclass overrides them.  The circuit is the inner node's own object."""
+    subclass overrides them.  While its structure is the inner node's own
+    object, so is its circuit."""
 
     @property
     def inner(self) -> Node:
@@ -399,8 +418,14 @@ class Wrapper(Node):
     def adjoint_compute(self, w):
         return self.inner.adjoint_compute(w)
 
+    @property
+    def _structure(self):
+        return self.inner._structure
+
     def _lower(self):
-        return self.inner.circuit(), self.inner.persistent_ancillas
+        if self._structure is self.inner._structure:
+            return self.inner.circuit()
+        return super()._lower()
 
     @property
     def exact_forward(self):
@@ -449,17 +474,25 @@ class Layout:
         self.child_scratch = max(c.ancilla_count - c.persistent_ancillas for c in children)
 
     def embed(self, i: int, offset: int = 0,
-              controls: tuple[tuple[int, int], ...] = ()) -> list[Gate]:
-        """Child i's gates on this register, its main qubit q moved to
+              controls: tuple[tuple[int, int], ...] = ()) -> list:
+        """Child i's items on this register, its main qubit q moved to
         offset + q, with `controls` appended to every gate.  Each distinct
-        gate object is relabelled once and its copy repeated in child order."""
-        circ = self.children[i].circuit()
+        gate and block is relabelled once and its copy repeated in child order."""
+        child = self.children[i]
+        items, _, ancillas = child._structure
         flags = self.flags[i]
-        to = (*range(offset, offset + circ.main_qubits), *flags,
-              *range(self.scratch_base,
-                     self.scratch_base + circ.ancilla_qubits - len(flags)))
-        new = {}  # id -> relabelled copy; circ keeps every id live meanwhile
-        return [new.get(id(g)) or new.setdefault(id(g), Gate(
-                    g.kind, tuple(to[q] for q in g.targets),
-                    tuple((to[q], b) for q, b in g.controls) + controls, g.param, g.table))
-                for g in circ.gates]
+        to = (*range(offset, offset + child.main_qubits), *flags,
+              *range(self.scratch_base, self.scratch_base + ancillas - len(flags)))
+        new = {}  # id -> relabelled copy; the child keeps every id live meanwhile
+
+        def move(it):
+            out = new.get(id(it))
+            if out is None:
+                out = new[id(it)] = (
+                    Gate(it.kind, tuple(to[q] for q in it.targets),
+                         tuple((to[q], b) for q, b in it.controls) + controls,
+                         it.param, it.table)
+                    if isinstance(it, Gate) else tuple(map(move, it)))
+            return out
+
+        return [move(it) for it in items]

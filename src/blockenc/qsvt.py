@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .circuits import Gate, global_phase, h, rz
+from .circuits import Gate, flatten, global_phase, h, inverted, rz
 from .composites import Scale
 from .nodes import BudgetExceededError, Layout, Node, ProxyNode
 from .subspaces import ScratchPool, membership_flip_gates
@@ -439,28 +439,32 @@ class SingularValueTransform(Node):
         lay = Layout(m, 1, self.children)
         rot = lay.scratch_base
 
-        fwd = lay.embed(0)
-        bwd = [g.inverse() for g in reversed(fwd)]
-        # the sector marks and the flip are built once; each step adds only its RZ
+        # the child, its adjoint, the sector marks and the flip are built
+        # once and spliced in by reference; each step adds only its RZ
+        fwd = flatten(lay.embed(0))
+        bwd = tuple(inverted(fwd))
         marks, peak = [], 0
         for space in (a.subspace_in, a.subspace_out):
             pool = ScratchPool(rot + 1)
-            marks.append(membership_flip_gates(space, 0, rot, pool, zero_qubits=lay.flags[0]))
+            mark = tuple(membership_flip_gates(space, 0, rot, pool, zero_qubits=lay.flags[0]))
+            marks.append((mark, mark[::-1]))
             peak = max(peak, pool.peak)
         flip = Gate("X", (rot,), ((lcu, 1),))
 
-        gates = [h(lcu)]
+        items = [h(lcu)]
         for k in range(d + 1):
             if k:
-                gates += fwd if k % 2 else bwd
-            mark = marks[k % 2]
-            gates += mark + [flip, rz(-2.0 * psi[d - k], rot), flip] + mark[::-1]
+                items.append(fwd if k % 2 else bwd)
+            mark, unmark = marks[k % 2]
+            items += (mark, flip, rz(-2.0 * psi[d - k], rot), flip, unmark)
         if d % 4:
-            gates.append(global_phase(d * math.pi / 2, [(lcu, 0)]))
-            gates.append(global_phase(-d * math.pi / 2, [(lcu, 1)]))
-        gates.append(h(lcu))
+            items.append(global_phase(d * math.pi / 2, [(lcu, 0)]))
+            items.append(global_phase(-d * math.pi / 2, [(lcu, 1)]))
+        items.append(h(lcu))
 
-        return gates, lay.persistent, max(lay.child_scratch, 1 + peak)
+        # a child or a mark without gates leaves no empty block behind
+        items = [it for it in items if isinstance(it, Gate) or it]
+        return items, lay.persistent, max(lay.child_scratch, 1 + peak)
 
     def __repr__(self):
         return (f"SingularValueTransform({self.a!r}, degree={self.target.degree}, "
@@ -479,13 +483,16 @@ def _cheb_series(fn, n: int) -> np.ndarray:
     return f
 
 
+@lru_cache(maxsize=64)
 def _inverse_target(delta: float, eps: float, cap: int):
     """Odd polynomial close to delta/(2x) on [delta, 1].
 
     Chebyshev series of delta/(2x) times the even window 1 - (1 - x^2)^b
     (which vanishes to second order at 0), truncated to the smallest odd
     degree meeting eps/2 on [delta, 1].  Returns (target, compensation) where
-    compensation restores any clamping of the sup norm.
+    compensation restores any clamping of the sup norm.  The last 64
+    distinct calls are cached, as in `solve_phases`, so a pseudoinverse
+    rebuilt from its graph document does not fit its target again.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")

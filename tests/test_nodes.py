@@ -134,7 +134,7 @@ class Doubler(Node):
     adjoint_compute = compute
 
     def _lower(self):
-        return DoublingCircuit(self.main_qubits), 0
+        return DoublingCircuit(self.main_qubits)
 
 
 class TestResources:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 import blockenc as be
-from blockenc import qsvt
+from blockenc import graphs, qsvt
+from blockenc.circuits import Gate
+from blockenc.nodes import ProxyNode
 from blockenc.qsvt import (
     _LEAF,
     PhaseSolverError,
@@ -441,6 +444,15 @@ class TestPseudoinverse:
         x.circuit()
         assert solve_phases.cache_info().misses == 1
 
+    def test_graph_round_trip_reuses_the_fitted_target(self):
+        a_inv, solution = laplace_solution(3)
+        doc = graphs.document(solution)
+        hits = _inverse_target.cache_info().hits
+        rebuilt = graphs.parse_document(doc).a
+        assert _inverse_target.cache_info().hits == hits + 1
+        assert isinstance(rebuilt, be.Pseudoinverse)
+        assert rebuilt._target == a_inv._target and rebuilt._comp == a_inv._comp
+
     def test_budget_failure_needs_delta(self):
         old = be.get_budget()
         try:
@@ -487,6 +499,92 @@ class TestLaplaceSimulation:
             circ = laplace_solution(n)[1].circuit()
             arrays = {id(s) for s in circ._program if isinstance(s, np.ndarray)}
             assert len(arrays) <= 24
+
+
+def gate_digest(gates):
+    """SHA-256 of a gate tuple, angles rounded to 4 decimals (every angle of
+    the N=3 solution lies over 2e-6 from a rounding boundary), so the last
+    bits of the solved phases may differ between platforms."""
+    h = hashlib.sha256()
+    for g in gates:
+        p = None if g.param is None else round(g.param, 4) + 0.0
+        h.update(repr((g.kind, g.targets, g.controls, p, g.table)).encode())
+    return h.hexdigest()
+
+
+def lowered_nodes(node):
+    """Every node of the DAG below `node`, expansions included, that has a
+    lowered circuit cached on it."""
+    seen, stack, out = set(), [node], []
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if "_lowered" in vars(n):
+            out.append(n)
+        stack.extend(n.children)
+        if isinstance(n, ProxyNode):
+            stack.append(n.expansion)
+    return out
+
+
+class TestStructuralLowering:
+    """Lowering and counting from items: gates and shared blocks."""
+
+    # the N=3 solution's gate tuple, recorded when each node still lowered to
+    # a flat gate list
+    N3_DIGEST = "aff49f226f57648d473438a7f46942e3b4e50f1bdfdd113fdb987434f3a76386"
+
+    @staticmethod
+    def svt(child):
+        return SingularValueTransform(child, TargetPolynomial.chebyshev([0, 0.4, 0, 0.3]))
+
+    @staticmethod
+    def assert_report_is_the_circuits(node):
+        rep = node.resources()
+        circ = node.circuit()
+        assert list(rep.gate_counts.items()) == list(circ.gate_counts().items())
+        assert (rep.main_qubits, rep.ancilla_qubits, rep.total_qubits) == (
+            circ.main_qubits, circ.ancilla_qubits, circ.n_qubits)
+
+    def test_resources_build_no_circuit(self):
+        _, solution = laplace_solution(3)
+        rep = solution.resources()
+        assert lowered_nodes(solution) == []
+        assert sum(rep.gate_counts.values()) == 10756 and rep.total_qubits == 12
+
+    def test_n3_gate_tuple_is_unchanged(self):
+        circ = laplace_solution(3)[1].circuit()
+        assert gate_digest(circ.gates) == self.N3_DIGEST
+        assert len({id(g) for g in circ.gates}) == 273
+
+    def test_report_counts_the_circuit_of_the_solution(self):
+        _, solution = laplace_solution(3)
+        for node in (solution, solution.adjoint(), be.Scale(1j, solution)):
+            self.assert_report_is_the_circuits(node)
+
+    def test_report_counts_the_circuit_of_composites_over_an_svt(self):
+        svt = self.svt(0.6 * be.Increment(2) + 0.3 * be.Identity(dim=4))
+        flagged = be.Scale(0.5, be.Identity(dim=4))
+        for node in (svt & be.Increment(1), svt | flagged, flagged | svt):
+            self.assert_report_is_the_circuits(node)
+        # the blocks of the SVT gain the selector control
+        assert (svt | flagged).verify(10 * svt.normalization * svt.phase_residual).passed
+
+    def test_svt_of_a_child_without_gates_keeps_no_empty_block(self):
+        svt = self.svt(be.Identity(dim=4))  # empty child and marks of a full subspace
+        assert all(isinstance(it, Gate) or it for it in svt._structure[0])
+        for node in (svt, be.Identity(dim=4) | svt, svt | be.Identity(dim=4)):
+            self.assert_report_is_the_circuits(node)
+
+    def test_circuit_adjoint_inverts_each_object_once(self):
+        _, solution = laplace_solution(3)
+        circ = solution.circuit()
+        adj = circ.adjoint()
+        assert adj.gates == tuple(g.inverse() for g in reversed(circ.gates))
+        assert len({id(g) for g in adj.gates}) == len({id(g) for g in circ.gates})
+        assert solution.adjoint().circuit().gates == adj.gates
 
 
 def laplace_solution(n):
