@@ -3,13 +3,16 @@
 Qubit 0 is the least significant bit of a basis index; amplitude arrays are
 little-endian throughout.  Circuits are immutable; simulation never mutates
 its input state.  A gate tuple may repeat one `Gate` object (lowering builds
-each repeated part once); `Circuit` range-checks, `adjoint` inverts, and
-`gate_counts` and `t_count_estimate` count, each distinct object once.
+each repeated part once); `adjoint` inverts, and `gate_counts` and
+`t_count_estimate` count, each distinct object once.
 
-Lowering works on items before it builds a `Circuit`: an item is a `Gate` or
-a block, a tuple of gates spliced in by reference, so a sequence that repeats
-a block d times holds d references to one tuple.  `flatten`, `inverted` and
-`item_counts` act on items, each distinct gate and block once.
+Lowering works on items: an item is a `Gate` or a block, a tuple of gates
+spliced in by reference, so a sequence that repeats a block d times holds d
+references to one tuple.  `flatten`, `inverted` and `item_counts` act on
+items, each distinct gate and block once.  `Circuit` takes items too: it
+flattens them once into its gate tuple and range-checks each distinct item
+once (a block by each of its distinct gates), so its check never walks the
+flat tuple of a sequence of blocks.
 
 `Circuit.apply` runs a program compiled from the gate list on first use and
 cached on the circuit, so it lives exactly as long as the `Circuit`.  The
@@ -162,16 +165,25 @@ def permutation(table, targets, controls=()):
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over main + ancilla qubits (ancillas on top)."""
+    """An ordered gate list over main + ancilla qubits (ancillas on top).
+
+    `gates` may be given as items (gates and blocks); it is stored flattened.
+    Each distinct gate and block is range-checked once, and the first gate
+    that fails is the first in the flattened order."""
 
     main_qubits: int
     ancilla_qubits: int = 0
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        items = tuple(self.gates)
+        gates = flatten(items)
+        object.__setattr__(self, "gates", gates)
         total = self.main_qubits + self.ancilla_qubits
-        for g in {id(g): g for g in self.gates}.values():
+        distinct = {id(it): it for it in items}.values()
+        if gates is not items:  # some items are blocks
+            distinct = _block_gates(distinct)
+        for g in distinct:
             for q in list(g.targets) + [q for q, _ in g.controls]:
                 if not 0 <= q < total:
                     raise ValueError(f"gate {g} references qubit {q} outside register of {total}")
@@ -250,6 +262,18 @@ def flatten(items) -> tuple[Gate, ...]:
         else:
             gates.extend(it)
     return tuple(gates)
+
+
+def _block_gates(items):
+    """Each distinct gate of distinct gates and blocks once, in order of first
+    occurrence in their flattened sequence."""
+    gates = {}
+    for it in items:
+        if isinstance(it, Gate):
+            gates[id(it)] = it
+        else:
+            gates.update(zip(map(id, it), it))
+    return gates.values()
 
 
 def inverted(items) -> list:

@@ -2,7 +2,8 @@
 
 Structured output is JSON on stdout; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse errors, bad BE_BUDGET
-values, and graphs too large for the evaluation budget.
+values, graphs too large for the evaluation budget, and polynomial fits or
+phase solves that cannot reach the requested accuracy.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .primitives import (
     Increment,
     IntegerAddition,
 )
-from .qsvt import Pseudoinverse
+from .qsvt import PhaseSolverError, Pseudoinverse
 
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, BudgetExceededError) as exc:
+    except (CliError, ValueError, BudgetExceededError, PhaseSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

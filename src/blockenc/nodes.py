@@ -19,7 +19,8 @@ ancilla counts.  `Layout.embed` relabels a child's items, each distinct gate
 and block once; the QSVT sequence repeats its child, the child's adjoint and
 its sector marks as blocks, so the N=5 Laplace solution's 519,530 gates are
 about 21,000 items.  `resources` counts gates from the items, each distinct
-block once, and builds no `Circuit`; `circuit()` flattens the items once.
+block once, and builds no `Circuit`; `circuit()` hands the items to
+`Circuit`, which flattens them once and range-checks each distinct item once.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, Gate, flatten, item_counts
+from .circuits import Circuit, Gate, item_counts
 from .subspaces import Subspace
 
 
@@ -228,7 +229,7 @@ class Node:
 
     def _lower(self) -> Circuit:
         items, _, ancillas = self._structure
-        return Circuit(self.main_qubits, ancillas, flatten(items))
+        return Circuit(self.main_qubits, ancillas, items)
 
     @cached_property
     def _lowered(self) -> Circuit:

@@ -62,8 +62,15 @@ class TargetPolynomial:
     parity: str  # "even" | "odd"
 
     @classmethod
-    def chebyshev(cls, coefficients, parity: str | None = None) -> "TargetPolynomial":
+    def chebyshev(cls, coefficients, parity: str | None = None, *,
+                  _sup: float | None = None) -> "TargetPolynomial":
+        """The target with these coefficients, trailing ones below 1e-14
+        trimmed, after checking parity and the unit bound.  `_sup` is the
+        default sup of exactly `coefficients` when the caller has sampled
+        them already; it stands in for the sample unless trimming changed
+        the series."""
         c = np.asarray(coefficients, dtype=float)
+        given = len(c)
         while len(c) > 1 and abs(c[-1]) <= 1e-14:
             c = c[:-1]
         d = len(c) - 1
@@ -79,6 +86,8 @@ class TargetPolynomial:
             raise ValueError(f"coefficients of wrong parity present (max "
                              f"{np.max(np.abs(wrong)):.2e})")
         t = cls(tuple(c), parity)
+        if _sup is not None and len(c) == given:
+            vars(t)["_default_sup"] = _sup  # what the cached property would compute
         sup = t.sup_norm()
         if sup > 1 + 1e-9:
             raise ValueError(f"target exceeds the unit bound: sup ~= {sup:.6f}")
@@ -493,6 +502,16 @@ def _inverse_target(delta: float, eps: float, cap: int):
     compensation restores any clamping of the sup norm.  The last 64
     distinct calls are cached, as in `solve_phases`, so a pseudoinverse
     rebuilt from its graph document does not fit its target again.
+
+    The degree search runs the recurrence T_{j+1} = 2x T_j - T_{j-1} on a
+    2,001-point grid of [delta, 1] and adds to the partial sum only at odd
+    j, since the even coefficients are exactly zero.  Each odd degree is
+    first tried at one witness point, the grid point where the last full
+    check erred most (at first x = delta): if it misses there it misses the
+    full check, and otherwise the full check decides, so the degree is the
+    one a full check at every odd j finds.  The clamp's 4,001-point sample
+    is evaluated once; its even-index entries are the default 2,001-point
+    grid, so an unclamped target takes its `sup_norm` from them.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
@@ -518,26 +537,31 @@ def _inverse_target(delta: float, eps: float, cap: int):
     two_x = 2 * grid
     t_j, t_next = np.ones_like(grid), grid  # T_j and T_{j+1} on the grid
     partial = np.zeros_like(grid)
+    witness = 0  # where the last full check erred most
     degree = None
     for j in range(min(cap, n) + 1):
-        partial = partial + coefs[j] * t_j
-        if j % 2 == 1 and np.max(np.abs(partial - want)) <= eps / 2:
-            degree = j
-            break
+        if j % 2 == 1:
+            partial = partial + coefs[j] * t_j
+            if abs(partial[witness] - want[witness]) <= eps / 2:
+                err = np.abs(partial - want)
+                witness = int(np.argmax(err))
+                if err[witness] <= eps / 2:
+                    degree = j
+                    break
         t_j, t_next = t_next, t_next * two_x - t_j
     if degree is None:
         raise PhaseSolverError(
             f"no odd degree within the budget {cap} reaches accuracy {eps / 2:.2e}")
     c = coefs[: degree + 1].copy()
 
-    comp = 1.0
-    xs = np.linspace(-1.0, 1.0, 4001)
-    sup = float(np.max(np.abs(cheb.chebval(xs, c))))
+    xs = np.linspace(-1.0, 1.0, 4001)  # xs[::2] is the default 2,001-point grid
+    sample = np.abs(cheb.chebval(xs, c))
+    sup = float(np.max(sample))
     bound = 1 - 2 * _MARGIN
     if sup > bound:
         c *= bound / sup
-        comp = sup / bound
-    return TargetPolynomial.chebyshev(c, "odd"), comp
+        return TargetPolynomial.chebyshev(c, "odd"), sup / bound
+    return TargetPolynomial.chebyshev(c, "odd", _sup=float(np.max(sample[::2]))), 1.0
 
 
 class Pseudoinverse(ProxyNode):

@@ -8,6 +8,8 @@ the single-qubit span of |1> has no representation).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .circuits import Circuit, Gate
@@ -43,25 +45,23 @@ class ZeroQubit:
 
 
 class Controlled:
-    """The top qubit of the block selects which branch the lower qubits are in."""
+    """The top qubit of the block selects which branch the lower qubits are in.
+    Immutable; its width and dimension are fixed at construction."""
 
-    __slots__ = ("branch0", "branch1")
+    __slots__ = ("branch0", "branch1", "qubit_count", "dim")
 
     def __init__(self, branch0: "Subspace", branch1: "Subspace"):
         if branch0.qubit_count != branch1.qubit_count:
             raise SubspaceShapeError(
                 f"controlled branches must have equal width, got "
                 f"{branch0.qubit_count} and {branch1.qubit_count}")
-        self.branch0 = branch0
-        self.branch1 = branch1
+        object.__setattr__(self, "branch0", branch0)
+        object.__setattr__(self, "branch1", branch1)
+        object.__setattr__(self, "qubit_count", 1 + branch0.qubit_count)
+        object.__setattr__(self, "dim", branch0.dim + branch1.dim)
 
-    @property
-    def qubit_count(self):
-        return 1 + self.branch0.qubit_count
-
-    @property
-    def dim(self):
-        return self.branch0.dim + self.branch1.dim
+    def __setattr__(self, name, value):
+        raise AttributeError("Controlled is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, Controlled)
@@ -89,9 +89,10 @@ def _parse_pattern(pattern: str):
 
 
 class Subspace:
-    """Ordered factor list, least significant first.  Immutable."""
+    """Ordered factor list, least significant first.  Immutable; its width
+    (`qubit_count`) and dimension (`dim`) are fixed at construction."""
 
-    __slots__ = ("factors", "_basis")
+    __slots__ = ("factors", "_basis", "qubit_count", "dim")
 
     def __init__(self, factors=()):
         if isinstance(factors, str):
@@ -103,6 +104,8 @@ class Subspace:
                     raise SubspaceFormatError(f"not a subspace factor: {f!r}")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "qubit_count", sum(f.qubit_count for f in factors))
+        object.__setattr__(self, "dim", math.prod(f.dim for f in factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -121,17 +124,6 @@ class Subspace:
         low = cls.from_dim(1 << k)
         high = cls.from_dim(d - (1 << k)).pad_to(k)
         return cls((Controlled(low, high),))
-
-    @property
-    def qubit_count(self) -> int:
-        return sum(f.qubit_count for f in self.factors)
-
-    @property
-    def dim(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f.dim
-        return n
 
     @property
     def is_full(self) -> bool:

@@ -8,6 +8,7 @@ from blockenc.circuits import (
     Circuit,
     Gate,
     UnsupportedGateError,
+    flatten,
     global_phase,
     h,
     lower_permutation_gate,
@@ -347,6 +348,26 @@ class TestValidation:
         good = x(0, [(1, 1)])
         with pytest.raises(ValueError, match="references qubit 3"):
             Circuit(2, 0, (good, good, h(1), good, swap(1, 3), good))
+
+    def test_bad_gate_inside_a_repeated_block(self):
+        block = (h(0), x(1, [(0, 1)]), x(0, [(4, 1)]))
+        with pytest.raises(ValueError, match="references qubit 4 outside register of 3"):
+            Circuit(2, 1, (h(1), block, x(0), block, block))
+
+    def test_first_bad_gate_in_flattened_order_is_named(self):
+        block = (h(0), swap(0, 5))
+        items = (h(1), block, x(0, [(7, 1)]), block)
+        with pytest.raises(ValueError, match="references qubit 5"):
+            Circuit(2, 0, items)
+        with pytest.raises(ValueError, match="references qubit 5"):
+            Circuit(2, 0, flatten(items))
+
+    def test_items_are_stored_flattened(self):
+        block = (h(0), x(1, [(0, 1)]))
+        items = [x(0), block, h(1), block]
+        circ = Circuit(2, 0, items)
+        assert circ.gates == (items[0], *block, items[2], *block)
+        assert all(a is b for a, b in zip(circ.gates, flatten(items), strict=True))
 
 
 class TestAdjoint:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +191,20 @@ class TestDemos:
         conv, _ = demo_convolution()
         assert np.max(np.abs(node.toarray() - conv.toarray())) <= 1e-12
         assert node.resources() == conv.resources()
+
+    def test_unreachable_fit_is_a_usage_error(self):
+        # the fit raises PhaseSolverError: no odd degree within the budget
+        # reaches the accuracy; run as a process to see what a user sees
+        src = os.path.dirname(os.path.dirname(os.path.abspath(be.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockenc.cli", "demo", "laplace", "--N", "2",
+             "--tolerance", "1e-300"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: no odd degree within the budget")
+        assert "Traceback" not in proc.stderr
 
 
 class TestGraphFormats:

@@ -7,7 +7,7 @@ import pytest
 
 import blockenc as be
 from blockenc import graphs, qsvt
-from blockenc.circuits import Gate
+from blockenc.circuits import Circuit, Gate, flatten
 from blockenc.nodes import ProxyNode
 from blockenc.qsvt import (
     _LEAF,
@@ -383,6 +383,75 @@ class TestChebyshevSeriesHelper:
         assert np.max(np.abs(mine - ref)) < 1e-12
 
 
+def inverse_target_oracle(delta, eps, cap):
+    """`_inverse_target` with the plain search: the partial sum gains every
+    term, zero coefficients included, each odd degree is checked on the
+    whole grid, and the target samples itself for its sup."""
+    b = 1 if delta == 1.0 else max(1, math.ceil(math.log(4.0 / eps) / -math.log1p(-delta * delta)))
+
+    def f(xs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            window = 1.0 - np.exp(b * np.log1p(-np.minimum(xs * xs, 1.0)))
+        safe = np.where(np.abs(xs) < 1e-300, 1.0, xs)
+        return np.where(np.abs(xs) < 1e-300, 0.0, 0.5 * delta * window / safe)
+
+    n = 1 << max(10, (2 * cap - 1).bit_length())
+    coefs = _cheb_series(f, n)
+    coefs[0::2] = 0.0
+    grid = np.linspace(delta, 1.0, 2001)
+    want = 0.5 * delta / grid
+    t_j, t_next = np.ones_like(grid), grid
+    partial = np.zeros_like(grid)
+    for j in range(min(cap, n) + 1):
+        partial = partial + coefs[j] * t_j
+        if j % 2 == 1 and np.max(np.abs(partial - want)) <= eps / 2:
+            break
+        t_j, t_next = t_next, t_next * 2 * grid - t_j
+    c = coefs[: j + 1].copy()
+    sup = float(np.max(np.abs(np.polynomial.chebyshev.chebval(np.linspace(-1, 1, 4001), c))))
+    comp = 1.0
+    if sup > 1 - 2 * qsvt._MARGIN:
+        c *= (1 - 2 * qsvt._MARGIN) / sup
+        comp = sup / (1 - 2 * qsvt._MARGIN)
+    return TargetPolynomial.chebyshev(c, "odd"), comp
+
+
+class TestInverseTarget:
+    # (delta, eps, cap) of the Laplace pseudoinverses at N=3..6, then a fit
+    # whose sampled sup is clamped to the margin
+    FITS = [((0.0380602337443566, 0.01, 606), 223),
+            ((0.009607359798384753, 0.01, 2471), 879),
+            ((0.0024076366639015807, 0.01, 9931), 3509),
+            ((0.0006022718974138171, 0.01, 39769), 13389),
+            ((0.0096, 1e-4, 4406), 1825)]
+
+    @pytest.mark.parametrize("args, degree", FITS)
+    def test_same_fit_as_a_full_check_at_every_degree(self, args, degree):
+        target, comp = _inverse_target.__wrapped__(*args)
+        want, want_comp = inverse_target_oracle(*args)
+        assert target.degree == want.degree == degree
+        assert target.coefficients == want.coefficients
+        assert comp == want_comp
+        assert (comp > 1) == (args[1] == 1e-4)  # only the last fit is clamped
+        # the default sup is exactly the 2,001-point sample's
+        assert target.sup_norm() == float(np.max(np.abs(target(np.linspace(-1, 1, 2001)))))
+
+    def test_default_grid_is_the_even_half_of_the_clamp_sample(self):
+        assert np.array_equal(np.linspace(-1.0, 1.0, 4001)[::2], np.linspace(-1.0, 1.0, 2001))
+
+    def test_pseudoinverse_samples_its_target_once(self, monkeypatch):
+        sizes = []
+        chebval = np.polynomial.chebyshev.chebval
+        monkeypatch.setattr(np.polynomial.chebyshev, "chebval",
+                            lambda x, c: sizes.append(np.size(x)) or chebval(x, c))
+        _inverse_target.cache_clear()
+        a_inv, _ = laplace_solution(4)
+        assert a_inv.degree == 879 and a_inv._comp == 1.0
+        assert len([k for k in sizes if k >= 2001]) == 1
+        assert a_inv._target.sup_norm() == float(
+            np.max(np.abs(chebval(np.linspace(-1, 1, 2001), np.asarray(a_inv._target.coefficients)))))
+
+
 class TestPseudoinverse:
     def test_identity(self):
         node = be.Pseudoinverse(be.Identity(dim=2), condition=1.0, tolerance=0.01)
@@ -577,6 +646,16 @@ class TestStructuralLowering:
         assert all(isinstance(it, Gate) or it for it in svt._structure[0])
         for node in (svt, be.Identity(dim=4) | svt, svt | be.Identity(dim=4)):
             self.assert_report_is_the_circuits(node)
+
+    def test_circuit_from_items_is_the_circuit_from_their_flat_tuple(self):
+        _, solution = laplace_solution(3)
+        items, _, ancillas = solution._structure
+        assert any(not isinstance(it, Gate) for it in items)  # blocks, as the QSVT shares them
+        from_items = Circuit(solution.main_qubits, ancillas, items)
+        from_flat = Circuit(solution.main_qubits, ancillas, flatten(items))
+        assert len(from_items.gates) == 10756
+        assert all(a is b for a, b in zip(from_items.gates, from_flat.gates, strict=True))
+        assert solution.circuit().gates == from_items.gates
 
     def test_circuit_adjoint_inverts_each_object_once(self):
         _, solution = laplace_solution(3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -254,6 +256,71 @@ class TestEquality:
         s = Subspace.from_dim(5)
         assert list(s.pad_to(6).enumerate_basis()) == list(s.enumerate_basis())
         assert s.pad_to(s.qubit_count) is s
+
+
+def built_subspaces(max_qubits=8):
+    """Subspaces made by every constructor: from_dim, pad_to, prefix_truncate,
+    `&` and `|` (the narrower side padded)."""
+    def either(ab):
+        a, b = ab
+        w = max(a.qubit_count, b.qubit_count)
+        return a.pad_to(w) | b.pad_to(w)
+
+    def truncate(sd):
+        s, frac = sd
+        return s.prefix_truncate(max(1, round(frac * s.dim)))
+
+    extended = st.recursive(
+        st.integers(1, 12).map(Subspace.from_dim),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda ab: ab[0] & ab[1]),
+            st.tuples(inner, inner).map(either),
+            st.tuples(inner, st.integers(0, 2)).map(lambda sk: sk[0].pad_to(sk[0].qubit_count + sk[1])),
+            st.tuples(inner, st.floats(0, 1)).map(truncate),
+        ),
+        max_leaves=5,
+    )
+    return extended.filter(lambda s: s.qubit_count <= max_qubits)
+
+
+def reference_size(x):
+    """(qubit count, dimension) of a subspace or factor, by recursion."""
+    if isinstance(x, ZeroQubit):
+        return 1, 1
+    if isinstance(x, Controlled):
+        (w, d0), (_, d1) = reference_size(x.branch0), reference_size(x.branch1)
+        return 1 + w, d0 + d1
+    sizes = [reference_size(f) for f in x.factors]
+    return sum(w for w, _ in sizes), math.prod(d for _, d in sizes)
+
+
+def walk(sub):
+    yield sub
+    for f in sub.factors:
+        yield f
+        if isinstance(f, Controlled):
+            yield from walk(f.branch0)
+            yield from walk(f.branch1)
+
+
+class TestStoredSizes:
+    @settings(max_examples=80, deadline=None)
+    @given(built_subspaces())
+    def test_sizes_match_a_recursive_reference(self, s):
+        for x in walk(s):
+            assert (x.qubit_count, x.dim) == reference_size(x)
+        assert len(s.enumerate_basis()) == s.dim
+
+    @settings(max_examples=20, deadline=None)
+    @given(built_subspaces())
+    def test_assignment_still_raises(self, s):
+        for x in walk(s):
+            for name in ("qubit_count", "dim"):
+                with pytest.raises(AttributeError):
+                    setattr(x, name, 0)
+            assert (x.qubit_count, x.dim) == reference_size(x)
+        with pytest.raises(AttributeError):
+            s.factors = ()
 
 
 def test_scratch_pool_reuse():
