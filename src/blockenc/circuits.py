@@ -1,4 +1,4 @@
-"""Gate-level circuit IR with a compiled statevector simulator.
+"""Gate-level circuit IR with a statevector simulator of the live rows.
 
 Qubit 0 is the least significant bit of a basis index; amplitude arrays are
 little-endian throughout.  Circuits are immutable; simulation never mutates
@@ -14,26 +14,28 @@ flattens them once into its gate tuple and range-checks each distinct item
 once (a block by each of its distinct gates), so its check never walks the
 flat tuple of a sequence of blocks.
 
-`Circuit.apply` runs a program compiled from the gate list on first use and
-cached on the circuit, so it lives exactly as long as the `Circuit`.  The
-program keeps the state under a layout, a map from each qubit to a bit of
-the storage index:
+`Circuit.apply` simulates only the rows that can be nonzero (the state
+sparsity of Jaques & Haener).  It finds the input's nonzero rows, the live
+set, and runs the plan of that set, built on first use and cached on the
+circuit (up to 8 sets per circuit).  A plan walks
+the items, carrying the array of live basis labels: row i of a compact
+state holds the amplitude of label `live[i]`.
 
-- before each gate that is not classical, the layout changes so that the
-  gate's controls sit on the top bits and its target on the bit below them
-  (a kernel right after another keeps a layout that already fits it).  The
-  gate then acts on one contiguous block,
-  `state.reshape(2^c, 2, -1)[values of its c controls]`: H and RY by one
-  real 2x2 matmul on the float64 view, Y and RX by one complex matmul, Z, S,
-  T, Phase and RZ by in-place scalar multiplies of the two halves, and a
-  global phase by one in-place multiply of `state.reshape(2^c, -1)[...]`;
-- each maximal run of classical gates (X, Swap, Permutation, any controls)
-  becomes one index array `perm`, applied as `state[perm]`, that also moves
-  the state from the layout before the run to the one after it.  It is
-  built by bit arithmetic on `arange(2^n)`.  Two kernels with no run between
-  them get a gather of their own if their layouts differ, and a last gather
-  restores the logical order.  Repeated gate objects share their steps, so
-  the QSVT sequence, which repeats a few runs d times, keeps a few arrays.
+- a classical gate (X, Swap, Permutation, any controls) relabels the array
+  while the plan is built and leaves no step to run;
+- a one-qubit matrix gate first appends, at amplitude 0, each partner
+  x ^ 2^t of a live x under its controls that is not live, then runs as one
+  gather, 2x2 product and scatter of the (2, k) positions of its pairs: H
+  and RY as a real product on the real and imaginary parts side by side;
+- a diagonal gate or a global phase multiplies the rows at its positions in
+  place;
+- at the end the compact state is scattered into the full 2^n output.
+
+Rows are never dropped, so the compact state has the length of the last
+live array.  The transition of a block or a repeated gate is memoized per
+interned live set, and positions per live set, controls and target bit, so
+the QSVT sequence, whose live set saturates after a few phase steps, keeps
+a few arrays of at most |live| entries whatever its degree.
 """
 from __future__ import annotations
 
@@ -41,8 +43,7 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import groupby
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -167,9 +168,10 @@ def permutation(table, targets, controls=()):
 class Circuit:
     """An ordered gate list over main + ancilla qubits (ancillas on top).
 
-    `gates` may be given as items (gates and blocks); it is stored flattened.
-    Each distinct gate and block is range-checked once, and the first gate
-    that fails is the first in the flattened order."""
+    `gates` may be given as items (gates and blocks); it is stored flattened,
+    and the simulator walks the items.  Each distinct gate and block is
+    range-checked once, and the first gate that fails is the first in the
+    flattened order."""
 
     main_qubits: int
     ancilla_qubits: int = 0
@@ -179,6 +181,8 @@ class Circuit:
         items = tuple(self.gates)
         gates = flatten(items)
         object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "_items", items)  # the plan walks these
+        object.__setattr__(self, "_plans", {})  # bytes of an input live set -> its plan
         total = self.main_qubits + self.ancilla_qubits
         distinct = {id(it): it for it in items}.values()
         if gates is not items:  # some items are blocks
@@ -193,7 +197,7 @@ class Circuit:
         return self.main_qubits + self.ancilla_qubits
 
     def adjoint(self) -> "Circuit":
-        return Circuit(self.main_qubits, self.ancilla_qubits, tuple(inverted(self.gates)))
+        return Circuit(self.main_qubits, self.ancilla_qubits, tuple(inverted(self._items)))
 
     def concat(self, other: "Circuit") -> "Circuit":
         if (other.main_qubits, other.ancilla_qubits) != (self.main_qubits, self.ancilla_qubits):
@@ -204,21 +208,42 @@ class Circuit:
         return _tally(_occurrences(self.gates), lower_permutations)
 
     def apply(self, state):
-        """Apply the gate sequence to a statevector (or column-stacked matrix)."""
-        st = np.array(state, dtype=complex, order="C")  # kernels update views of it
+        """Apply the gate sequence to a statevector (or column-stacked matrix).
+
+        Only the rows that can be nonzero are simulated: the plan of the
+        input's nonzero rows runs on a compact state, which is then scattered
+        into the full output."""
+        st = np.asarray(state)
         flat = st.ndim == 1
         if flat:
             st = st[:, None]
         if st.shape[0] != 1 << self.n_qubits:
             raise ValueError(
                 f"state has {st.shape[0]} amplitudes, circuit needs {1 << self.n_qubits}")
-        for step in self._program:
-            st = np.take(st, step, axis=0) if isinstance(step, np.ndarray) else step.run(st)
-        return st[:, 0] if flat else st
+        out = np.zeros(st.shape, dtype=complex)
+        if st.shape[1]:
+            plan = self._plan(st.any(axis=1).nonzero()[0])
+            c = np.zeros((len(plan.live_out), st.shape[1]), dtype=complex)
+            c[:len(plan.live_in)] = st.take(plan.live_in, axis=0)
+            # a row of the compact state as one item, so the steps move whole rows
+            rows = c.view(f"V{c.itemsize * c.shape[1]}").reshape(-1)
+            for step in chain.from_iterable(plan.steps):
+                step.run(c, rows)
+            out[plan.live_out] = c
+        return out[:, 0] if flat else out
 
-    @cached_property
-    def _program(self) -> tuple:
-        return _compile(self.gates, self.n_qubits)
+    def _plan(self, live) -> _Plan:
+        """The plan of input live set `live`, cached on the circuit."""
+        plans = self._plans
+        key = live.tobytes()
+        plan = plans.get(key)
+        if plan is None:
+            if len(plans) >= _PLANS:
+                plans.clear()
+            planner = _Planner(self.n_qubits, live)
+            steps = planner.walk(self._items)
+            plan = plans[key] = _Plan(live, steps, planner.live)
+        return plan
 
     def unitary(self) -> np.ndarray:
         """Dense matrix of the circuit (built column-by-column, one pass)."""
@@ -308,142 +333,237 @@ def item_counts(items) -> dict[str, int]:
 # Gates that only move amplitudes.
 _CLASSICAL = frozenset({"X", "Swap", "Permutation"})
 
+# Plans a `Circuit` keeps, one per input live set; all are dropped when full.
+_PLANS = 8
 
-class _Matrix(NamedTuple):
-    """A 2x2 matrix on one contiguous `(2, L)` block of the state.
 
-    A real matrix acts on the float64 view, whose rows hold real and
-    imaginary parts side by side, so it runs as one real matmul."""
+_ALL = slice(None)  # the positions of every row of the compact state
 
-    shape: tuple
-    block: int
+
+class _Pairs(NamedTuple):
+    """A 2x2 matrix on the amplitude pairs of the compact state at positions
+    `pairs[0]` (target bit 0) and `pairs[1]` (target bit 1).
+
+    It gathers whole rows, then views them as real numbers for a real matrix
+    (real and imaginary parts side by side), so H and RY run as one real
+    product, or as complex numbers for the others."""
+
+    pairs: np.ndarray  # (2, pairs) positions
     matrix: np.ndarray
 
-    def run(self, st):
-        v = st if self.matrix.dtype == complex else st.view(np.float64)
-        if self.shape[0] == 1:  # no controls: the product is the new state, not copied back
-            return (self.matrix @ v.reshape(2, -1)).view(complex).reshape(st.shape)
-        v = v.reshape(self.shape)[self.block]
-        v[...] = self.matrix @ v
-        return st
+    def run(self, c, rows):
+        w = rows[self.pairs]
+        v = w.view(self.matrix.dtype)
+        rows[self.pairs] = np.dot(self.matrix, v).view(rows.dtype)
 
 
 class _Scale(NamedTuple):
-    """In-place scalar multiplies of contiguous blocks: a diagonal gate's two
-    halves, or the one block of a (controlled) global phase."""
+    """An in-place multiply of the compact state's rows at `positions`, or of
+    all of them when `positions` is `_ALL`."""
 
-    shape: tuple
-    factors: tuple  # (index into st.reshape(shape), factor) pairs
+    positions: object
+    factor: complex
 
-    def run(self, st):
-        v = st.reshape(self.shape)
-        for index, factor in self.factors:
-            v[index] *= factor
-        return st
-
-
-def _fits(order, g):
-    """Whether layout `order` (the qubit at each storage bit, lowest first)
-    has g's controls on its top bits and g's target just below them."""
-    n, c = len(order), len(g.controls)
-    below = n - c - len(g.targets)
-    return (order[below:n - c] == g.targets
-            and set(order[n - c:]) == {q for q, _ in g.controls})
+    def run(self, c, rows):
+        if self.positions is _ALL:
+            c *= self.factor
+        else:
+            w = rows[self.positions]
+            v = w.view(complex)
+            v *= self.factor
+            rows[self.positions] = w
 
 
-def _layout(g, n):
-    """The layout a gate gets when the current one does not fit it: the other
-    qubits in ascending order, then its target, then its controls."""
-    top = g.targets + tuple(q for q, _ in g.controls)
-    return tuple(q for q in range(n) if q not in top) + top
+class _Reorder(NamedTuple):
+    """Moves row `order[i]` of the compact state to row i, for every i."""
+
+    order: np.ndarray
+
+    def run(self, c, rows):
+        rows[:len(self.order)] = rows[self.order]
 
 
-def _kernel(g, order):
-    """The kernel of a gate that is not classical, on a layout that fits it."""
-    n, c = len(order), len(g.controls)
-    block = sum(p << order.index(q) for q, p in g.controls) >> (n - c)
-    if g.kind == "GlobalPhase":
-        return _Scale((1 << c, -1), ((block, cmath.exp(1j * g.param)),))
-    if g.kind in _DIAGONAL_1Q:
-        return _Scale((1 << c, 2, -1), tuple(((block, i), f) for i, f in
-                                             enumerate(_DIAGONAL_1Q[g.kind](g.param)) if f != 1))
-    return _Matrix((1 << c, 2, -1), block, _MATRIX_1Q[g.kind](g.param))
+class _Plan(NamedTuple):
+    """The steps of a circuit on one input live set: the compact state holds
+    the amplitude of basis label `live_in[i]`, then `live_out[i]`, at row i."""
+
+    live_in: np.ndarray
+    steps: list  # one tuple of steps per item that has any
+    live_out: np.ndarray
 
 
-def _source(g, x):
-    """For classical gate g and basis indices x, the index each one's
-    amplitude comes from: g^-1 elementwise, by bit arithmetic."""
+def _condition(controls):
+    """(mask, value): a basis label x meets the controls iff x & mask == value."""
+    mask = value = 0
+    for q, p in controls:
+        mask, value = mask | 1 << q, value | p << q
+    return mask, value
+
+
+def _image(g, x):
+    """For classical gate g, where each basis label in x goes, by bit arithmetic."""
+    targets = g.targets
     if g.kind == "X":
-        moved = x ^ (1 << g.targets[0])
+        flip = 1 << targets[0]
     else:  # target block j (target i is bit i of j) moves to block table[j]
         table = (0, 2, 1, 3) if g.kind == "Swap" else g.table
-        placed = [0] * len(table)  # placed[table[j]]: the bits of block j on the targets
-        for j, k in enumerate(table):
-            placed[k] = sum(((j >> i) & 1) << q for i, q in enumerate(g.targets))
-        block = 0
-        for i, q in enumerate(g.targets):
-            block = block | (((x >> q) & 1) << i)
-        moved = (x & ~sum(1 << q for q in g.targets)) | np.array(placed)[block]
-    if not g.controls:
-        return moved
-    mask = value = 0
-    for q, p in g.controls:
-        mask, value = mask | 1 << q, value | p << q
-    return np.where((x & mask) == value, moved, x)
+        low, k = targets[0], len(targets)
+        if targets == tuple(range(low, low + k)):  # the block is one field of bits
+            block = (x >> low) & ((1 << k) - 1)
+            flips = [(j ^ t) << low for j, t in enumerate(table)]
+        else:
+            block = (x >> low) & 1
+            for i, q in enumerate(targets[1:], 1):
+                block |= ((x >> q) & 1) << i
+            flips = [sum(((j ^ t) >> i & 1) << q for i, q in enumerate(targets))
+                     for j, t in enumerate(table)]
+        flip = np.array(flips)[block]  # the target bits each label flips
+    if g.controls:
+        mask, value = _condition(g.controls)
+        flip = ((x & mask) == value) * flip
+    return x ^ flip
 
 
-def _spread(index, order):
-    """`index` (an arange) with bit b of each entry moved to bit order[b]."""
-    n = len(order)
-    return index.reshape((2,) * n).transpose([n - 1 - q for q in reversed(order)]).ravel()
+class _Planner:
+    """Builds the plan of a sequence of items on one input live set.
 
+    `live[i]` is the basis label whose amplitude the compact state holds at
+    row i, and `pos` the dense inverse, valid for live labels once refreshed
+    (an entry p of a label x that is not live fails `live[p] == x`).  Rows
+    are never dropped: a matrix gate appends the partners it needs at
+    amplitude 0, so the row count only grows and the compact state of the
+    whole plan has the length of its last live array.  A classical gate only
+    relabels `live` and leaves no step.
 
-def _compile(gates, n):
-    """The simulation program of a gate list: index arrays and block kernels.
+    The transition of a block or a repeated gate is memoized by the live set
+    it starts from, interned (`key`) with the first arrangement of its labels
+    that reached a memo; a later arrangement of the same set is moved back to
+    that one by a `_Reorder` step, so a run repeated any number of times
+    keeps one arrangement per live set.  Positions of diagonal and matrix
+    gates are memoized by the live key, the controls and the target bit, so
+    the distinct RZ gates of a QSVT sequence share them.  A live array that
+    no memo needs is never interned."""
 
-    `order[b]` is the qubit at storage bit b.  After a run the layout
-    becomes the next gate's own, folded into the run's gather; between two
-    kernels it changes, by a gather of its own, only if the second does not
-    fit it.
-    """
-    identity = tuple(range(n))
-    index = np.arange(1 << n)
-    gathers = {}  # (layout before, ids of a run's gates, layout after) -> index array
-    kernels = {}  # (id of a gate, layout) -> its kernel
-    layouts = {}  # id of a gate -> the layout it moves to
+    def __init__(self, n, live):
+        self.dim = 1 << n
+        self.live = live
+        self.pos = np.zeros(self.dim, dtype=np.intp)
+        self.stale = True  # pos not refreshed for `live`
+        self.key = None  # the key of `live` when `live` is its set's arrangement
+        self.keys = {}  # bytes of a sorted live set -> its key
+        self.arrangements = []  # key -> the live array of that set
+        self.transitions = {}  # (key, id of an item) -> (key, live, steps)
+        self.positions = {}  # (key, mask, value[, bit]) -> positions or pairs
 
-    def gather(before, run, after):
-        key = (before, tuple(map(id, run)), after)
-        x = gathers.get(key)
-        if x is None:
-            x = _spread(index, after)  # the logical index at each storage index
-            for g in reversed(run):
-                x = _source(g, x)
-            if before != identity:  # the storage index of each logical one
-                x = _spread(index, [before.index(q) for q in identity])[x]
-            gathers[key] = x
-        return x
+    def walk(self, items):
+        repeated = {id(it) for it, n in _occurrences(items) if n > 1}
+        steps = []
+        for it in items:
+            s = (self.gate(it) if isinstance(it, Gate) and id(it) not in repeated
+                 else self.transition(it))
+            if s:
+                steps.append(s)
+        return steps
 
-    program = []
-    order, run = identity, ()
-    for classical, group in groupby(gates, key=lambda g: g.kind in _CLASSICAL):
-        if classical:
-            run = tuple(group)
-            continue
-        for g in group:
-            if run or not _fits(order, g):
-                new = layouts.get(id(g))
-                if new is None:
-                    new = layouts[id(g)] = _layout(g, n)
-                program.append(gather(order, run, new))
-                order, run = new, ()
-            step = kernels.get((id(g), order))
-            if step is None:
-                step = kernels[id(g), order] = _kernel(g, order)
-            program.append(step)
-    if run or order != identity:
-        program.append(gather(order, run, identity))
-    return tuple(program)
+    def transition(self, it):
+        """The steps of a block or a repeated gate, memoized by the live key."""
+        settle = self.settle() if self.key is None else ()
+        start = self.key, id(it)
+        hit = self.transitions.get(start)
+        if hit is None:
+            steps = (self.gate(it) if isinstance(it, Gate)
+                     else tuple(s for g in it for s in self.gate(g)))
+            if self.key is None:
+                steps += self.settle()
+            hit = self.transitions[start] = (self.key, self.live, steps)
+        elif hit[1] is not self.live:
+            self.key, self.live, _ = hit
+            self.stale = True
+        return settle + hit[2] if settle else hit[2]
+
+    def settle(self):
+        """Intern the live set; the step that moves its rows to the set's
+        interned arrangement, if they are in another."""
+        ordered = np.sort(self.live)
+        self.key = self.keys.setdefault(ordered.tobytes(), len(self.keys))
+        if self.key == len(self.arrangements):
+            self.arrangements.append(self.live)
+            return ()
+        first = self.arrangements[self.key]
+        if np.array_equal(first, self.live):
+            self.live = first
+            return ()
+        self.refresh()
+        order = self.pos[first]
+        self.live, self.stale = first, True
+        return (_Reorder(order),)
+
+    def refresh(self):
+        if self.stale:
+            self.pos[self.live] = np.arange(len(self.live))
+            self.stale = False
+
+    def gate(self, g):
+        kind = g.kind
+        if kind in _CLASSICAL:
+            self.live, self.key, self.stale = _image(g, self.live), None, True
+            return ()
+        mask, value = _condition(g.controls)
+        if kind == "GlobalPhase":
+            where = self.where(mask, value)
+            return (_Scale(where, cmath.exp(1j * g.param)),) if where is _ALL or len(where) else ()
+        bit = 1 << g.targets[0]
+        if kind in _DIAGONAL_1Q:
+            steps = ()
+            for half, f in enumerate(_DIAGONAL_1Q[kind](g.param)):
+                if f != 1:
+                    where = self.where(mask | bit, value | half * bit)
+                    if len(where):
+                        steps += (_Scale(where, f),)
+            return steps
+        pairs = self.pairs(mask, value, bit)
+        return (_Pairs(pairs, _MATRIX_1Q[kind](g.param)),) if pairs.shape[1] else ()
+
+    def where(self, mask, value):
+        """The positions of the live labels x with x & mask == value."""
+        if not mask:
+            return _ALL
+        if self.key is None:
+            return ((self.live & mask) == value).nonzero()[0]
+        key = self.key, mask, value
+        found = self.positions.get(key)
+        if found is None:
+            found = self.positions[key] = ((self.live & mask) == value).nonzero()[0]
+        return found
+
+    def pairs(self, mask, value, bit):
+        """The (2, k) positions of the live pairs x, x | bit under the
+        controls, after appending the partners that are not live."""
+        key = self.key, mask, value, bit
+        found = None if self.key is None else self.positions.get(key)
+        if found is not None:
+            return found
+        if len(self.live) < self.dim:
+            self.add_partners(mask, value, bit)
+        self.refresh()
+        low = self.where(mask | bit, value)
+        found = np.concatenate((low, self.pos[self.live[low] | bit])).reshape(2, -1)
+        if self.key is not None:
+            self.positions[key] = found
+        return found
+
+    def add_partners(self, mask, value, bit):
+        """Append, after the live rows, each label x ^ bit that is not live
+        for a live x under the controls."""
+        self.refresh()
+        live = self.live
+        x = (live[(live & mask) == value] if mask else live) ^ bit
+        new = x[live[self.pos[x]] != x]
+        if len(new):
+            m = len(live)
+            self.live = np.concatenate((live, new))
+            self.pos[new] = np.arange(m, m + len(new))
+            self.key = None
 
 
 def lower_permutation_gate(g: Gate) -> list[Gate]:

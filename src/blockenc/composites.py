@@ -402,8 +402,8 @@ def add(a: Node, b: Node) -> Node:
     return Add(a, b)
 
 
-def _slice_indices(sl: slice, dim: int) -> list[int]:
-    idx = list(range(*sl.indices(dim)))
+def _slice_indices(sl: slice, dim: int) -> range:
+    idx = range(*sl.indices(dim))
     if not idx:
         raise ValueError(f"slice {sl} selects nothing from dimension {dim}")
     return idx
@@ -412,10 +412,10 @@ def _slice_indices(sl: slice, dim: int) -> list[int]:
 def _row_selector(subspace: Subspace, dim: int, sl: slice) -> Node | None:
     """Node S with S[k, i] = 1 iff i == L[k], as projection (plus permutation)."""
     idx = _slice_indices(sl, dim)
-    if idx == list(range(dim)):
+    if idx == range(dim):  # ranges compare as sequences, in O(1)
         return None
     proj = Projection(subspace, keep_out=len(idx), keep_in=dim)
-    if idx == list(range(len(idx))):
+    if idx == range(len(idx)):
         return proj
     table = [None] * dim
     for k, i in enumerate(idx):

@@ -157,8 +157,17 @@ def repeated_run_circuit(repeats=4):
     return Circuit(3, 1, tuple(gates))
 
 
-def distinct_index_arrays(circ):
-    return len({id(s) for s in circ._program if isinstance(s, np.ndarray)})
+def retained_arrays(circ):
+    """The distinct position arrays the plans cached on `circ` keep."""
+    arrays = {id(a): a for plan in circ._plans.values() for steps in plan.steps
+              for s in steps for a in s[:1] if isinstance(a, np.ndarray)}
+    return list(arrays.values())
+
+
+def only_plan(circ):
+    """The one plan cached on `circ`."""
+    (plan,) = circ._plans.values()
+    return plan
 
 
 def assert_matches_reference(circ, cols=3, seed=0):
@@ -175,6 +184,15 @@ def assert_matches_reference(circ, cols=3, seed=0):
         assert np.array_equal(given, before)
 
 
+def assert_matches_reference_on(circ, state):
+    """`apply` of one given input within 1e-12 of the reference, leaving it unchanged."""
+    before = state.copy()
+    got = circ.apply(state)
+    assert got.shape == state.shape
+    assert np.max(np.abs(got - reference_apply(circ, state)), initial=0) <= 1e-12
+    assert np.array_equal(state, before)
+
+
 class TestReference:
     """`Circuit.apply` against dense matrices built independently, gate by gate."""
 
@@ -189,14 +207,14 @@ class TestReference:
             got = circ.apply(states)
             assert np.max(np.abs(got - want)) <= 1e-12
             assert np.array_equal(states, before)
-            assert np.array_equal(circ.apply(states), got)  # from the cached program
-            # the block kernels must also handle Fortran-ordered and flat inputs
+            assert np.array_equal(circ.apply(states), got)  # from the cached plan
+            # apply must also take Fortran-ordered and flat inputs
             assert np.max(np.abs(circ.apply(np.asfortranarray(states)) - want)) <= 1e-12
             assert np.max(np.abs(circ.apply(states[:, 0]) - want[:, 0])) <= 1e-12
 
     def test_long_classical_runs(self):
-        """Runs of a dozen or more X/Swap/Permutation gates, each fused into one
-        gather, between RY, RZ and controlled global phases."""
+        """Runs of a dozen or more X/Swap/Permutation gates, which only
+        relabel the live rows, between RY, RZ and controlled global phases."""
         rng = np.random.default_rng(25)
         for _ in range(10):
             n = int(rng.integers(2, 6))
@@ -214,20 +232,23 @@ class TestReference:
         circ = repeated_run_circuit()
         states = random_states(np.random.default_rng(24), 4, 5)
         assert np.max(np.abs(circ.apply(states) - reference_apply(circ, states))) <= 1e-12
-        # index arrays are shared between repeats: memory is O(distinct runs)
-        assert distinct_index_arrays(repeated_run_circuit(4)) == \
-            distinct_index_arrays(repeated_run_circuit(8))
+        # the run maps the full live set onto itself, and each repeat is moved
+        # back to the set's first arrangement, so the kernels of every repeat
+        # share their positions: memory is O(distinct parts), not O(repeats)
+        four, eight = repeated_run_circuit(4), repeated_run_circuit(8)
+        four.apply(states)
+        eight.apply(states)
+        assert len(retained_arrays(four)) == len(retained_arrays(eight))
 
     def test_kernels_back_to_back_on_different_qubits(self):
-        """No classical gate in between, so each change of layout is a gather
-        of its own; the circuit ends on a kernel."""
+        """No classical gate in between; each kernel is one step on the
+        compact state (RZ one per half) and nothing else runs."""
         gates = (h(0), ry(0.3, 2, [(0, 1)]), rz(0.4, 3), Gate("RX", (1,), ((3, 0), (2, 1)), 0.7),
                  Gate("Y", (0,)), phase(0.2, 2, [(1, 0)]), h(3, [(0, 0)]), Gate("T", (1,)),
                  global_phase(0.9, [(2, 1)]), ry(-1.1, 0, [(3, 1), (1, 0), (2, 1)]))
         circ = Circuit(3, 1, gates)
         assert_matches_reference(circ)
-        assert isinstance(circ._program[-1], np.ndarray)  # back to logical order
-        assert sum(isinstance(s, np.ndarray) for s in circ._program) > 1
+        assert sum(map(len, only_plan(circ).steps)) == len(gates) + 1
 
     @pytest.mark.parametrize("last", [ry(0.5, 1, [(2, 0)]), x(1, [(2, 0)])],
                              ids=["kernel", "gather"])
@@ -261,8 +282,8 @@ class TestReference:
             assert_matches_reference(Circuit(3, 1, gates))
 
     def test_repeated_gate_on_two_layouts(self):
-        """The phase first runs on the rotation's layout, which fits it with its
-        controls in the other order, then, after an X, on its own layout."""
+        """One phase object occurs three times, the second time after an X
+        has relabelled the live rows."""
         g = global_phase(0.7, [(4, 0), (3, 1)])
         circ = Circuit(5, 0, (ry(0.3, 3, [(4, 1)]), g, x(0), g, Gate("S", (1,), ((3, 1), (4, 0))), g))
         assert_matches_reference(circ)
@@ -277,6 +298,50 @@ class TestReference:
     ])
     def test_small_registers_and_ancillas(self, main, ancillas, gates):
         assert_matches_reference(Circuit(main, ancillas, gates))
+
+    def test_inputs_with_one_to_k_nonzero_rows(self):
+        """Sparse inputs: the plan starts from their nonzero rows and adds
+        each partner a matrix gate needs."""
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            circ = random_circuit(rng, n, 30, with_permutation=True)
+            for k in range(1, min(4, 1 << n) + 1):
+                states = random_states(rng, n, 3)
+                rows = rng.permutation(1 << n)[:k]
+                sparse = np.zeros_like(states)
+                sparse[rows] = states[rows]
+                sparse[rows[0], 1:] = 0  # the columns need not share their rows
+                before = sparse.copy()
+                got = circ.apply(sparse)
+                assert np.max(np.abs(got - reference_apply(circ, sparse))) <= 1e-12
+                assert np.array_equal(sparse, before)
+                assert np.max(np.abs(circ.apply(sparse[:, 2]) - got[:, 2])) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["H", "RY", "Y", "RX"])
+    def test_controlled_kernel_whose_partner_rows_are_not_live(self, kind):
+        """Rows 0b0100 and 0b0111 meet the controls (qubit 2 set); their
+        partners on qubit 1 start at zero, and row 0b0001 fails the controls
+        and must not gain a partner."""
+        g = Gate(kind, (1,), ((2, 1),), None if kind in ("H", "Y") else 0.9)
+        for gates in [(g,), (x(3, [(0, 1)]), g, g, Gate("S", (1,), ((2, 1),)), g),
+                      (g, x(1, [(2, 1)]), global_phase(0.3, [(1, 1)]), g)]:
+            circ = Circuit(4, 0, gates)
+            state = np.zeros((16, 2), dtype=complex)
+            state[0b0100, 0] = 0.6
+            state[0b0111, 0] = 0.8j
+            state[0b0001, 1] = 1
+            assert_matches_reference_on(circ, state)
+            assert len(only_plan(circ).live_out) == 5
+
+    def test_all_zero_and_full_support_inputs(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            circ = random_circuit(rng, 4, 20, with_permutation=True)
+            for state in (np.zeros((16, 3), dtype=complex), np.zeros(16),
+                          random_states(rng, 4, 3), np.ones(16)):
+                assert_matches_reference_on(circ, state)
+            assert not circ.apply(np.zeros(16)).any()
 
 
 class TestUnitarity:

@@ -206,6 +206,21 @@ class TestDemos:
         assert len(lines) == 1 and lines[0].startswith("error: no odd degree within the budget")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("n", ["24", "30"])
+    def test_laplace_past_the_budget_is_a_usage_error(self, n):
+        # slicing the 2^n - 1 interior rows must not build a list of 2^n
+        # indices; the dense budget stops the demo with one error line
+        src = os.path.dirname(os.path.dirname(os.path.abspath(be.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockenc.cli", "demo", "laplace", "--N", n],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: dense matrix")
+        assert "exceeds budget" in lines[0] and "Traceback" not in proc.stderr
+
 
 class TestGraphFormats:
     def test_subspace_forms(self):

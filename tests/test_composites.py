@@ -340,6 +340,13 @@ class TestSlicing:
         node = be.ConstantVector(v)[:-1]
         assert np.max(np.abs(node.toarray().ravel() - v[:-1])) < 1e-12
 
+    def test_full_and_prefix_slices_need_no_index_list(self):
+        dim = 2 ** 40  # a list of its indices would not fit in memory
+        node = be.Increment(bits=40)
+        assert node[:, :] is node
+        inner = node[:-1, :-1]
+        assert (inner.dim_out, inner.dim_in) == (dim - 1, dim - 1)
+
     def test_only_slices_allowed(self):
         with pytest.raises(TypeError):
             be.Increment(2)[1, :]

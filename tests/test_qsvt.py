@@ -559,15 +559,26 @@ class TestLaplaceSimulation:
         _, solution = laplace_solution(3)
         first = solution.simulate(np.ones(1, dtype=complex))
         assert np.max(np.abs(first - self.N3_GOLDEN)) <= 1e-12
-        assert np.array_equal(solution.simulate(np.ones(1, dtype=complex)), first)  # cached program
+        assert np.array_equal(solution.simulate(np.ones(1, dtype=complex)), first)  # cached plan
 
     def test_index_arrays_do_not_grow_with_the_degree(self):
-        # degrees 223 and 879: the phase steps reuse a few gathers, so the
-        # compiled program keeps a small fixed number of 2^n-entry index arrays
+        # degrees 223 and 879: after a few phase steps the live set stops
+        # growing and each phase step reuses the positions of the last, so
+        # the plan keeps a small number of arrays, none longer than the live set
         for n in (3, 4):
-            circ = laplace_solution(n)[1].circuit()
-            arrays = {id(s) for s in circ._program if isinstance(s, np.ndarray)}
-            assert len(arrays) <= 24
+            solution = laplace_solution(n)[1]
+            solution.simulate(np.ones(1, dtype=complex))
+            (plan,) = solution.circuit()._plans.values()
+            arrays = {id(s[0]): s[0] for steps in plan.steps for s in steps
+                      if isinstance(s[0], np.ndarray)}
+            assert len(arrays) <= 100
+            assert max(a.size for a in arrays.values()) <= len(plan.live_out) < 2 ** 9
+
+    def test_n5_simulate_norm_matches_the_arithmetic_path(self):
+        # 16 qubits and 519,530 gates, of which at most 512 rows are ever live
+        solution = laplace_solution(5)[1]
+        want = np.linalg.norm(solution.toarray())
+        assert abs(solution.simulate_norm() - want) <= 1e-10 * want
 
 
 def gate_digest(gates):
