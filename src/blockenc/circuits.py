@@ -16,9 +16,9 @@ flat tuple of a sequence of blocks.
 
 `Circuit.apply` simulates only the rows that can be nonzero (the state
 sparsity of Jaques & Haener).  It finds the input's nonzero rows, the live
-set, and runs the plan of that set, built on first use and cached on the
-circuit (up to 8 sets per circuit).  A plan walks
-the items, carrying the array of live basis labels: row i of a compact
+set, and runs the plan of that set; the circuit keeps the last plan it
+built, so repeated calls on one live set build it once.  A plan walks the
+items, carrying the array of live basis labels: row i of a compact
 state holds the amplitude of label `live[i]`.
 
 - a classical gate (X, Swap, Permutation, any controls) relabels the array
@@ -30,6 +30,9 @@ state holds the amplitude of label `live[i]`.
 - a diagonal gate or a global phase multiplies the rows at its positions in
   place;
 - at the end the compact state is scattered into the full 2^n output.
+
+When every row is live the compact state starts as a copy of the input,
+and if no gate moved a row it is returned as the output.
 
 Rows are never dropped, so the compact state has the length of the last
 live array.  The transition of a block or a repeated gate is memoized per
@@ -182,7 +185,7 @@ class Circuit:
         gates = flatten(items)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "_items", items)  # the plan walks these
-        object.__setattr__(self, "_plans", {})  # bytes of an input live set -> its plan
+        object.__setattr__(self, "_last_plan", None)  # (bytes of an input live set, its plan)
         total = self.main_qubits + self.ancilla_qubits
         distinct = {id(it): it for it in items}.values()
         if gates is not items:  # some items are blocks
@@ -217,32 +220,41 @@ class Circuit:
         flat = st.ndim == 1
         if flat:
             st = st[:, None]
-        if st.shape[0] != 1 << self.n_qubits:
-            raise ValueError(
-                f"state has {st.shape[0]} amplitudes, circuit needs {1 << self.n_qubits}")
-        out = np.zeros(st.shape, dtype=complex)
-        if st.shape[1]:
-            plan = self._plan(st.any(axis=1).nonzero()[0])
+        dim = 1 << self.n_qubits
+        if st.shape[0] != dim:
+            raise ValueError(f"state has {st.shape[0]} amplitudes, circuit needs {dim}")
+        if not st.shape[1]:
+            return np.zeros(st.shape, dtype=complex)
+        plan = self._plan(st.any(axis=1).nonzero()[0])
+        if len(plan.live_in) == dim:  # every row live, so in label order
+            c = np.array(st, dtype=complex, order="C")
+        else:
             c = np.zeros((len(plan.live_out), st.shape[1]), dtype=complex)
             c[:len(plan.live_in)] = st.take(plan.live_in, axis=0)
-            # a row of the compact state as one item, so the steps move whole rows
-            rows = c.view(f"V{c.itemsize * c.shape[1]}").reshape(-1)
-            for step in chain.from_iterable(plan.steps):
-                step.run(c, rows)
+        # a row of the compact state as one item, so the steps move whole rows
+        rows = c.view(f"V{c.itemsize * c.shape[1]}").reshape(-1)
+        for step in chain.from_iterable(plan.steps):
+            step.run(c, rows)
+        if plan.in_order:
+            out = c
+        else:
+            out = (np.empty if len(plan.live_out) == dim else np.zeros)(st.shape, dtype=complex)
             out[plan.live_out] = c
         return out[:, 0] if flat else out
 
     def _plan(self, live) -> _Plan:
-        """The plan of input live set `live`, cached on the circuit."""
-        plans = self._plans
+        """The plan of input live set `live`.  The circuit keeps the last plan
+        it built, so calls repeated on one live set build it once."""
         key = live.tobytes()
-        plan = plans.get(key)
-        if plan is None:
-            if len(plans) >= _PLANS:
-                plans.clear()
-            planner = _Planner(self.n_qubits, live)
-            steps = planner.walk(self._items)
-            plan = plans[key] = _Plan(live, steps, planner.live)
+        last = self._last_plan
+        if last is not None and last[0] == key:
+            return last[1]
+        planner = _Planner(self.n_qubits, live)
+        steps = planner.walk(self._items)
+        # every label, in order, if every row was live and no gate moved one
+        in_order = len(live) == planner.dim and planner.live is live
+        plan = _Plan(live, steps, planner.live, in_order)
+        object.__setattr__(self, "_last_plan", (key, plan))
         return plan
 
     def unitary(self) -> np.ndarray:
@@ -333,10 +345,6 @@ def item_counts(items) -> dict[str, int]:
 # Gates that only move amplitudes.
 _CLASSICAL = frozenset({"X", "Swap", "Permutation"})
 
-# Plans a `Circuit` keeps, one per input live set; all are dropped when full.
-_PLANS = 8
-
-
 _ALL = slice(None)  # the positions of every row of the compact state
 
 
@@ -390,6 +398,7 @@ class _Plan(NamedTuple):
     live_in: np.ndarray
     steps: list  # one tuple of steps per item that has any
     live_out: np.ndarray
+    in_order: bool  # live_out is known to be every label in order
 
 
 def _condition(controls):
@@ -456,10 +465,12 @@ class _Planner:
         self.positions = {}  # (key, mask, value[, bit]) -> positions or pairs
 
     def walk(self, items):
-        repeated = {id(it) for it, n in _occurrences(items) if n > 1}
+        ids = list(map(id, items))
+        repeated = (() if len(set(ids)) == len(ids)  # as in most small circuits
+                    else {i for i, n in Counter(ids).items() if n > 1})
         steps = []
-        for it in items:
-            s = (self.gate(it) if isinstance(it, Gate) and id(it) not in repeated
+        for it, i in zip(items, ids):
+            s = (self.gate(it) if isinstance(it, Gate) and i not in repeated
                  else self.transition(it))
             if s:
                 steps.append(s)

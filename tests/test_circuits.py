@@ -158,16 +158,15 @@ def repeated_run_circuit(repeats=4):
 
 
 def retained_arrays(circ):
-    """The distinct position arrays the plans cached on `circ` keep."""
-    arrays = {id(a): a for plan in circ._plans.values() for steps in plan.steps
+    """The distinct position arrays the plan cached on `circ` keeps."""
+    arrays = {id(a): a for steps in only_plan(circ).steps
               for s in steps for a in s[:1] if isinstance(a, np.ndarray)}
     return list(arrays.values())
 
 
 def only_plan(circ):
-    """The one plan cached on `circ`."""
-    (plan,) = circ._plans.values()
-    return plan
+    """The plan cached on `circ`."""
+    return circ._last_plan[1]
 
 
 def assert_matches_reference(circ, cols=3, seed=0):
@@ -342,6 +341,38 @@ class TestReference:
                           random_states(rng, 4, 3), np.ones(16)):
                 assert_matches_reference_on(circ, state)
             assert not circ.apply(np.zeros(16)).any()
+
+    @pytest.mark.parametrize("gates, rows, in_order", [
+        ((h(0), rz(0.4, 1), ry(0.3, 1, [(0, 1)])), range(4), True),
+        ((h(0), x(1), ry(0.3, 1, [(0, 1)])), range(4), False),
+        ((h(0), h(1)), [0], False),
+        ((h(0), x(1)), [0, 2], False),
+    ], ids=["whole", "whole-relabelled", "filled", "filled-relabelled"])
+    def test_every_row_live(self, gates, rows, in_order):
+        """The whole register live at the start or at the end.  A whole
+        input is copied into the compact state, which is returned as the
+        output when no gate moved a row; the output is never the input."""
+        circ = Circuit(2, 0, gates)
+        state = np.zeros((4, 2), dtype=complex)
+        state[list(rows)] = np.random.default_rng(44).normal(size=(len(rows), 2))
+        for given in (state, np.asfortranarray(state), state[:, 1].copy()):
+            assert_matches_reference_on(circ, given)
+            got = circ.apply(given)
+            assert not np.shares_memory(got, given)
+            got[:] = 7  # the output is the caller's to keep
+            assert_matches_reference_on(circ, given)
+        assert only_plan(circ).in_order is in_order
+
+    def test_the_last_plan_is_kept(self):
+        circ = Circuit(2, 0, (h(0), ry(0.3, 1, [(0, 1)])))
+        first, second = np.eye(4)[:, :1], np.eye(4)[:, 1:2]
+        circ.apply(first)
+        plan = only_plan(circ)
+        circ.apply(2 * first)
+        assert only_plan(circ) is plan  # the same live set reuses the plan
+        assert_matches_reference_on(circ, second)
+        assert only_plan(circ) is not plan and list(only_plan(circ).live_in) == [1]
+        assert_matches_reference_on(circ, first)  # rebuilt, still right
 
 
 class TestUnitarity:

@@ -562,17 +562,23 @@ class TestLaplaceSimulation:
         assert np.array_equal(solution.simulate(np.ones(1, dtype=complex)), first)  # cached plan
 
     def test_index_arrays_do_not_grow_with_the_degree(self):
-        # degrees 223 and 879: after a few phase steps the live set stops
+        # one register at two tolerances, so two degrees (N=3: 223 and 353,
+        # N=4: 879 and 1,395): after a few phase steps the live set stops
         # growing and each phase step reuses the positions of the last, so
-        # the plan keeps a small number of arrays, none longer than the live set
-        for n in (3, 4):
-            solution = laplace_solution(n)[1]
-            solution.simulate(np.ones(1, dtype=complex))
-            (plan,) = solution.circuit()._plans.values()
-            arrays = {id(s[0]): s[0] for steps in plan.steps for s in steps
-                      if isinstance(s[0], np.ndarray)}
-            assert len(arrays) <= 100
-            assert max(a.size for a in arrays.values()) <= len(plan.live_out) < 2 ** 9
+        # the plan keeps the same arrays whatever the degree, none longer
+        # than the live set of 2^(N+4) rows
+        for n, most in ((3, 55), (4, 88)):
+            counts = []
+            for tolerance in (0.01, 0.001):
+                a_inv, solution = laplace_solution(n, tolerance)
+                solution.simulate(np.ones(1, dtype=complex))
+                plan = solution.circuit()._last_plan[1]
+                arrays = {id(s[0]): s[0] for steps in plan.steps for s in steps
+                          if isinstance(s[0], np.ndarray)}
+                assert max(a.size for a in arrays.values()) <= len(plan.live_out) <= 2 ** (n + 4)
+                counts.append((a_inv.degree, len(arrays)))
+            (low, first), (high, second) = counts
+            assert low < high and first == second <= most
 
     def test_n5_simulate_norm_matches_the_arithmetic_path(self):
         # 16 qubits and 519,530 gates, of which at most 512 rows are ever live
@@ -677,7 +683,7 @@ class TestStructuralLowering:
         assert solution.adjoint().circuit().gates == adj.gates
 
 
-def laplace_solution(n):
+def laplace_solution(n, tolerance=0.01):
     """(pseudoinverse, solution) of the 1D Laplace system of `be demo laplace`."""
     ident = be.Identity(dim=2 ** n)
     shift = be.Increment(bits=n)
@@ -686,5 +692,5 @@ def laplace_solution(n):
     for _ in range(n - 1):
         rhs = rhs & be.ConstantVector(0.5 * np.ones(2))
     a_inv = be.Pseudoinverse(a, condition=float(np.linalg.cond(a.toarray(), 2)),
-                             tolerance=0.01)
+                             tolerance=tolerance)
     return a_inv, a_inv @ rhs[:-1]
