@@ -2,17 +2,20 @@
 
 Qubit 0 is the least significant bit of a basis index; amplitude arrays are
 little-endian throughout.  Circuits are immutable; simulation never mutates
-its input state.  A gate tuple may repeat one `Gate` object (lowering builds
-each repeated part once); `adjoint` inverts, and `gate_counts` and
+its input state.  A gate sequence may repeat one `Gate` object (lowering
+builds each repeated part once); `adjoint` inverts, and `gate_counts` and
 `t_count_estimate` count, each distinct object once.
 
-Lowering works on items: an item is a `Gate` or a block, a tuple of gates
+Lowering works on items.  An item is a `Gate`, a block (a tuple of items
 spliced in by reference, so a sequence that repeats a block d times holds d
-references to one tuple.  `flatten`, `inverted` and `item_counts` act on
-items, each distinct gate and block once.  `Circuit` takes items too: it
-flattens them once into its gate tuple and range-checks each distinct item
-once (a block by each of its distinct gates), so its check never walks the
-flat tuple of a sequence of blocks.
+references to one tuple) or a `PhaseSequence`, the d + 1 phase steps of a
+singular value transformation as one item whose RZ angles are fetched only
+when a gate, a simulation or an export needs them.  `flatten`, `inverted`
+and `item_counts` act on items, each distinct gate and block once, and count
+a phase sequence from its per-step parts.  `Circuit` keeps its items: its
+`gates` is a read-only view whose length is counted from them, so no gate
+tuple is built unless one is asked for, and it range-checks each distinct
+gate once.
 
 `Circuit.apply` simulates only the rows that can be nonzero (the state
 sparsity of Jaques & Haener).  It finds the input's nonzero rows, the live
@@ -38,14 +41,17 @@ Rows are never dropped, so the compact state has the length of the last
 live array.  The transition of a block or a repeated gate is memoized per
 interned live set, and positions per live set, controls and target bit, so
 the QSVT sequence, whose live set saturates after a few phase steps, keeps
-a few arrays of at most |live| entries whatever its degree.
+a few arrays of at most |live| entries whatever its degree; each phase
+step's RZ is a multiply at those shared positions by that step's factors.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -167,30 +173,155 @@ def permutation(table, targets, controls=()):
     return Gate("Permutation", tuple(targets), tuple(controls), table=tuple(int(t) for t in table))
 
 
+class Angles:
+    """The RZ angles of the steps of a phase sequence, fetched by `fetch` on
+    first use and shared by the sequence's relabelled copies."""
+
+    def __init__(self, fetch):
+        self._fetch = fetch
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._fetch())
+
+    def inverse(self) -> "Angles":
+        """The angles of the inverse sequence: reversed and negated."""
+        return Angles(lambda: [-t for t in reversed(self.values)])
+
+
+class PhaseSequence:
+    """The d + 1 phase steps of a singular value transformation as one item.
+
+    Step k runs `blocks[k % 2]` (from step 1 on), then the mark of
+    `marks[k % 2]`, `flip`, an RZ by the angle of step k on the qubit and
+    controls of `rotation` (an RZ without an angle), `flip` again and the
+    unmark.  Only the RZ differs between steps, so the sequence is counted,
+    relabelled and inverted by its parts, without its angles; `rotations`
+    binds one RZ `Gate` per step, once, when the gates themselves are asked
+    for."""
+
+    def __init__(self, blocks, marks, flip, rotation, angles, degree):
+        self.blocks = blocks  # (block of the even steps, block of the odd steps)
+        self.marks = marks  # ((mark, unmark) of the even steps, of the odd steps)
+        self.flip = flip
+        self.rotation = rotation
+        self.angles = angles
+        self.degree = degree
+
+    @cached_property
+    def rotations(self) -> tuple[Gate, ...]:
+        r = self.rotation
+        return tuple(Gate(r.kind, r.targets, r.controls, t) for t in self.angles.values)
+
+    def parts(self):
+        """The items of the flattened sequence in order, with one RZ per step."""
+        for k, rz in enumerate(self.rotations):
+            mark, unmark = self.marks[k % 2]
+            if k:
+                yield self.blocks[k % 2]
+            yield mark
+            yield self.flip
+            yield rz
+            yield self.flip
+            yield unmark
+
+    def occurrences(self):
+        """(part, occurrences) in order of first occurrence, with `rotation`
+        standing for the d + 1 RZ gates."""
+        d = self.degree
+        even, odd = d // 2 + 1, (d + 1) // 2  # steps of each parity
+        (mark0, unmark0), (mark1, unmark1) = self.marks
+        out = [(mark0, even), (self.flip, 2 * (d + 1)), (self.rotation, d + 1), (unmark0, even)]
+        if d:
+            out += [(self.blocks[1], odd), (mark1, odd), (unmark1, odd)]
+        if d > 1:
+            out.append((self.blocks[0], d // 2))
+        return out
+
+    def relabelled(self, move) -> "PhaseSequence":
+        """The sequence with `move` applied to each part; the angles are shared."""
+        return PhaseSequence(tuple(map(move, self.blocks)),
+                             tuple(tuple(map(move, m)) for m in self.marks),
+                             move(self.flip), move(self.rotation), self.angles, self.degree)
+
+    def inverted(self, inverse) -> "PhaseSequence":
+        """The inverse sequence, with `inverse` applied to each part.  Its step
+        j undoes step d - j, whose unmark becomes its mark, after undoing the
+        block of step d - j + 1; its angles are reversed and negated."""
+        d = self.degree
+        marks = tuple((inverse(self.marks[(d - p) % 2][1]), inverse(self.marks[(d - p) % 2][0]))
+                      for p in (0, 1))
+        blocks = tuple(inverse(self.blocks[(d + 1 - p) % 2]) for p in (0, 1))
+        return PhaseSequence(blocks, marks, inverse(self.flip), self.rotation,
+                             self.angles.inverse(), d)
+
+
+class Gates(Sequence):
+    """The gates of a sequence of items, read-only.
+
+    Its length is counted from the items; iteration streams the gates one at
+    a time, and indexing and slicing flatten the items on each call.  It
+    equals a tuple of the same gates in the same order."""
+
+    __slots__ = ("_items", "_len")
+
+    def __init__(self, items, length: int):
+        self._items, self._len = items, length
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return _stream(self._items)
+
+    def __reversed__(self):
+        return reversed(flatten(self._items))
+
+    def __getitem__(self, i):
+        return flatten(self._items)[i]
+
+    def index(self, *args):
+        return flatten(self._items).index(*args)
+
+    def count(self, g):
+        return flatten(self._items).count(g)
+
+    def __eq__(self, other):
+        if isinstance(other, Gates) and other._items is self._items:
+            return True
+        if not isinstance(other, (tuple, Gates)):
+            return NotImplemented
+        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(flatten(self._items))
+
+    def __repr__(self):
+        return repr(flatten(self._items))
+
+
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over main + ancilla qubits (ancillas on top).
+    """An ordered gate sequence over main + ancilla qubits (ancillas on top).
 
-    `gates` may be given as items (gates and blocks); it is stored flattened,
-    and the simulator walks the items.  Each distinct gate and block is
-    range-checked once, and the first gate that fails is the first in the
-    flattened order."""
+    `gates` is given as items (gates, blocks and phase sequences).  The
+    circuit keeps the items, which the simulator walks, and reads them back
+    as a `Gates` view.  Each distinct gate is range-checked once, and the
+    first gate that fails is the first in the flattened order."""
 
     main_qubits: int
     ancilla_qubits: int = 0
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    gates: Sequence[Gate] = field(default_factory=tuple)
 
     def __post_init__(self):
-        items = tuple(self.gates)
-        gates = flatten(items)
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "_items", items)  # the plan walks these
+        given = self.gates
+        items = given._items if isinstance(given, Gates) else tuple(given)
+        pairs = _gate_occurrences(items)
+        object.__setattr__(self, "gates", Gates(items, sum(n for _, n in pairs)))
+        object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_last_plan", None)  # (bytes of an input live set, its plan)
         total = self.main_qubits + self.ancilla_qubits
-        distinct = {id(it): it for it in items}.values()
-        if gates is not items:  # some items are blocks
-            distinct = _block_gates(distinct)
-        for g in distinct:
+        for g in {id(g): g for g, _ in pairs}.values():
             for q in list(g.targets) + [q for q, _ in g.controls]:
                 if not 0 <= q < total:
                     raise ValueError(f"gate {g} references qubit {q} outside register of {total}")
@@ -205,10 +336,10 @@ class Circuit:
     def concat(self, other: "Circuit") -> "Circuit":
         if (other.main_qubits, other.ancilla_qubits) != (self.main_qubits, self.ancilla_qubits):
             raise ValueError("can only concatenate circuits over the same register")
-        return Circuit(self.main_qubits, self.ancilla_qubits, self.gates + other.gates)
+        return Circuit(self.main_qubits, self.ancilla_qubits, self._items + other._items)
 
     def gate_counts(self, lower_permutations: bool = False) -> dict[str, int]:
-        return _tally(_occurrences(self.gates), lower_permutations)
+        return _tally(_gate_occurrences(self._items), lower_permutations)
 
     def apply(self, state):
         """Apply the gate sequence to a statevector (or column-stacked matrix).
@@ -266,13 +397,31 @@ class Circuit:
         return export_text(self, lower_permutations)
 
 
-def _occurrences(gates):
+def _occurrences(items):
     """(object, occurrences) for each distinct object, in order of first occurrence."""
-    first = dict(zip(map(id, gates), gates))
-    if len(first) == len(gates):  # nothing repeats, as in most small circuits
-        return [(g, 1) for g in gates]
-    times = Counter(map(id, gates))
+    first = dict(zip(map(id, items), items))
+    if len(first) == len(items):  # nothing repeats, as in most small circuits
+        return [(it, 1) for it in items]
+    times = Counter(map(id, items))
     return [(first[i], n) for i, n in times.items()]
+
+
+def _gate_occurrences(items, times=1):
+    """(gate, occurrences) pairs of a sequence of items (or of a phase
+    sequence), in order of first occurrence in the flattened sequence.  A
+    distinct block is expanded once for each distinct block or sequence that
+    holds it, so one gate may come in several pairs; a phase sequence's
+    `rotation` stands for its d + 1 RZ gates."""
+    parts = items.occurrences() if isinstance(items, PhaseSequence) else _occurrences(items)
+    if times == 1 and all(isinstance(it, Gate) for it, _ in parts):
+        return parts  # no blocks, as in most small circuits
+    out = []
+    for it, n in parts:
+        if isinstance(it, Gate):
+            out.append((it, n * times))
+        else:
+            out += _gate_occurrences(it, n * times)
+    return out
 
 
 def _tally(pairs, lower_permutations: bool = False) -> dict[str, int]:
@@ -287,43 +436,35 @@ def _tally(pairs, lower_permutations: bool = False) -> dict[str, int]:
     return counts
 
 
+def _stream(items):
+    """The gates of a sequence of items, one at a time."""
+    for it in items:
+        if isinstance(it, Gate):
+            yield it
+        else:
+            yield from _stream(it.parts() if isinstance(it, PhaseSequence) else it)
+
+
 def flatten(items) -> tuple[Gate, ...]:
-    """The gate tuple of a sequence of gates and blocks; a tuple without
-    blocks is its own."""
+    """The gate tuple of a sequence of items; a tuple of gates is its own."""
     if all(isinstance(it, Gate) for it in items):
         return tuple(items)
-    gates = []
-    for it in items:
-        if isinstance(it, Gate):
-            gates.append(it)
-        else:
-            gates.extend(it)
-    return tuple(gates)
-
-
-def _block_gates(items):
-    """Each distinct gate of distinct gates and blocks once, in order of first
-    occurrence in their flattened sequence."""
-    gates = {}
-    for it in items:
-        if isinstance(it, Gate):
-            gates[id(it)] = it
-        else:
-            gates.update(zip(map(id, it), it))
-    return gates.values()
+    return tuple(_stream(items))
 
 
 def inverted(items) -> list:
-    """The inverse of a sequence of gates and blocks: the items in reverse
-    order, a gate replaced by its inverse and a block by the reversed tuple of
-    its gates' inverses.  Each distinct gate and block is inverted once, so
-    whatever the sequence repeats, its inverse repeats too."""
+    """The inverse of a sequence of items: the items in reverse order, a gate
+    replaced by its inverse, a block by the reversed tuple of its items'
+    inverses and a phase sequence by its inverse sequence.  Each distinct
+    gate and block is inverted once, so whatever the sequence repeats, its
+    inverse repeats too."""
     new = {}  # id -> inverse; `items` keeps every id live meanwhile
 
     def inverse(it):
         out = new.get(id(it))
         if out is None:
             out = new[id(it)] = (it.inverse() if isinstance(it, Gate)
+                                 else it.inverted(inverse) if isinstance(it, PhaseSequence)
                                  else tuple(map(inverse, reversed(it))))
         return out
 
@@ -331,15 +472,9 @@ def inverted(items) -> list:
 
 
 def item_counts(items) -> dict[str, int]:
-    """`Circuit.gate_counts` of the flattened items, in the same key order,
-    with each distinct block counted once and weighted by its occurrences."""
-    pairs = []
-    for it, n in _occurrences(items):
-        if isinstance(it, Gate):
-            pairs.append((it, n))
-        else:
-            pairs.extend((g, k * n) for g, k in _occurrences(it))
-    return _tally(pairs)
+    """`Circuit.gate_counts` of the items, in the same key order, with each
+    distinct block counted once and weighted by its occurrences."""
+    return _tally(_gate_occurrences(items))
 
 
 # Gates that only move amplitudes.
@@ -396,7 +531,7 @@ class _Plan(NamedTuple):
     the amplitude of basis label `live_in[i]`, then `live_out[i]`, at row i."""
 
     live_in: np.ndarray
-    steps: list  # one tuple of steps per item that has any
+    steps: list  # one tuple of steps per item, or per part of a phase step, that has any
     live_out: np.ndarray
     in_order: bool  # live_out is known to be every label in order
 
@@ -470,6 +605,9 @@ class _Planner:
                     else {i for i, n in Counter(ids).items() if n > 1})
         steps = []
         for it, i in zip(items, ids):
+            if isinstance(it, PhaseSequence):  # one tuple of steps per part of each step
+                self.sequence(it, steps)
+                continue
             s = (self.gate(it) if isinstance(it, Gate) and i not in repeated
                  else self.transition(it))
             if s:
@@ -477,13 +615,19 @@ class _Planner:
         return steps
 
     def transition(self, it):
-        """The steps of a block or a repeated gate, memoized by the live key."""
+        """The steps of a block, a phase sequence or a repeated gate, memoized
+        by the live key."""
         settle = self.settle() if self.key is None else ()
         start = self.key, id(it)
         hit = self.transitions.get(start)
         if hit is None:
-            steps = (self.gate(it) if isinstance(it, Gate)
-                     else tuple(s for g in it for s in self.gate(g)))
+            if isinstance(it, Gate):
+                steps = self.gate(it)
+            elif isinstance(it, PhaseSequence):
+                steps = tuple(chain.from_iterable(self.sequence(it, [])))
+            else:  # a block: its gates each in turn, its other items by their transitions
+                steps = tuple(s for x in it
+                              for s in (self.gate(x) if isinstance(x, Gate) else self.transition(x)))
             if self.key is None:
                 steps += self.settle()
             hit = self.transitions[start] = (self.key, self.live, steps)
@@ -491,6 +635,30 @@ class _Planner:
             self.key, self.live, _ = hit
             self.stale = True
         return settle + hit[2] if settle else hit[2]
+
+    def sequence(self, seq, steps):
+        """Append the steps of each phase step of `seq` to `steps`: its block,
+        marks and flips by their transitions, and its RZ as multiplies at the
+        positions every step shares, by that step's factors."""
+        rotation = seq.rotation
+        mask, value = _condition(rotation.controls)
+        bit = 1 << rotation.targets[0]
+
+        def add(s):
+            if s:
+                steps.append(s)
+
+        for k, t in enumerate(seq.angles.values):
+            mark, unmark = seq.marks[k % 2]
+            for part in ((seq.blocks[k % 2], mark) if k else (mark,)):
+                if part:  # no empty block leaves a memo or a step
+                    add(self.transition(part))
+            add(self.transition(seq.flip))
+            add(self.diagonal(_DIAGONAL_1Q["RZ"](t), mask, value, bit))
+            add(self.transition(seq.flip))
+            if unmark:
+                add(self.transition(unmark))
+        return steps
 
     def settle(self):
         """Intern the live set; the step that moves its rows to the set's
@@ -525,15 +693,20 @@ class _Planner:
             return (_Scale(where, cmath.exp(1j * g.param)),) if where is _ALL or len(where) else ()
         bit = 1 << g.targets[0]
         if kind in _DIAGONAL_1Q:
-            steps = ()
-            for half, f in enumerate(_DIAGONAL_1Q[kind](g.param)):
-                if f != 1:
-                    where = self.where(mask | bit, value | half * bit)
-                    if len(where):
-                        steps += (_Scale(where, f),)
-            return steps
+            return self.diagonal(_DIAGONAL_1Q[kind](g.param), mask, value, bit)
         pairs = self.pairs(mask, value, bit)
         return (_Pairs(pairs, _MATRIX_1Q[kind](g.param)),) if pairs.shape[1] else ()
+
+    def diagonal(self, factors, mask, value, bit):
+        """The multiplies of a diagonal gate on `bit` under the controls, by
+        `factors` on target values 0 and 1."""
+        steps = ()
+        for half, f in enumerate(factors):
+            if f != 1:
+                where = self.where(mask | bit, value | half * bit)
+                if len(where):
+                    steps += (_Scale(where, f),)
+        return steps
 
     def where(self, mask, value):
         """The positions of the live labels x with x & mask == value."""
@@ -629,7 +802,7 @@ def t_count_estimate(circuit: Circuit) -> dict[str, int]:
     """
     t = 0
     scratch = 0
-    for g, times in _occurrences(circuit.gates):
+    for g, times in _gate_occurrences(circuit._items):
         lowered = lower_permutation_gate(g) if g.kind == "Permutation" else [g]
         for lg in lowered:
             n = len(lg.controls)
@@ -677,7 +850,14 @@ def export_text(circuit: Circuit, lower_permutations: bool = False) -> str:
             name = "".join("ctrl @ " if p else "negctrl @ " for _, p in ctrls) + name
         return [f"{name} {', '.join(args)};" if args else f"{name};"]
 
-    # each distinct gate object is formatted once and its text repeated
-    text = {id(g): "".join(line + "\n" for line in emit(g))
-            for g, _ in _occurrences(circuit.gates)}
-    return "\n".join(lines) + "\n" + "".join(text[id(g)] for g in circuit.gates)
+    text = {}  # id of a gate, block or phase sequence -> its text, formatted once
+
+    def text_of(it):
+        out = text.get(id(it))
+        if out is None:
+            out = text[id(it)] = (
+                "".join(line + "\n" for line in emit(it)) if isinstance(it, Gate)
+                else "".join(map(text_of, it.parts() if isinstance(it, PhaseSequence) else it)))
+        return out
+
+    return "\n".join(lines) + "\n" + "".join(map(text_of, circuit._items))

@@ -14,13 +14,16 @@ then each child's flag block in child order (`a` before `b`), then the shared
 scratch.
 
 Lowering is structural: each node's `_structure` is a sequence of items
-(gates, and blocks that are tuples of gates spliced in by reference) plus its
-ancilla counts.  `Layout.embed` relabels a child's items, each distinct gate
-and block once; the QSVT sequence repeats its child, the child's adjoint and
+(gates, blocks that are tuples of items spliced in by reference, and phase
+sequences) plus its ancilla counts.  `Layout.embed` relabels a child's items,
+each distinct gate, block and phase sequence once; the QSVT's d + 1 phase
+steps are one `PhaseSequence` that holds its child, the child's adjoint and
 its sector marks as blocks, so the N=5 Laplace solution's 519,530 gates are
-about 21,000 items.  `resources` counts gates from the items, each distinct
-block once, and builds no `Circuit`; `circuit()` hands the items to
-`Circuit`, which flattens them once and range-checks each distinct item once.
+a few dozen items whatever the degree.  `resources` counts gates from the
+items, each distinct block once and a phase sequence from its per-step
+parts, so it builds no `Circuit` and solves no phases; `circuit()` hands the
+items to `Circuit`, which keeps them and range-checks each distinct gate
+once.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, Gate, item_counts
+from .circuits import Circuit, Gate, PhaseSequence, item_counts
 from .subspaces import Subspace
 
 
@@ -143,7 +146,8 @@ class Node:
 
     Subclasses provide `_raw_subspaces`, `normalization`, `compute`,
     `adjoint_compute`, and `_parts` (items plus persistent/scratch ancilla
-    counts, where an item is a `Gate` or a shared block, a tuple of gates),
+    counts, where an item is a `Gate`, a shared block, a tuple of items, or a
+    `PhaseSequence`),
     or override `_structure` to derive the items from another node's.  Both
     the circuit and the resource report are built from `_structure`, so a
     subclass overrides `_structure`, not `_lower`.  Everything else,
@@ -478,7 +482,8 @@ class Layout:
               controls: tuple[tuple[int, int], ...] = ()) -> list:
         """Child i's items on this register, its main qubit q moved to
         offset + q, with `controls` appended to every gate.  Each distinct
-        gate and block is relabelled once and its copy repeated in child order."""
+        gate, block and phase sequence is relabelled once and its copy
+        repeated in child order; a phase sequence shares its angles."""
         child = self.children[i]
         items, _, ancillas = child._structure
         flags = self.flags[i]
@@ -493,7 +498,9 @@ class Layout:
                     Gate(it.kind, tuple(to[q] for q in it.targets),
                          tuple((to[q], b) for q, b in it.controls) + controls,
                          it.param, it.table)
-                    if isinstance(it, Gate) else tuple(map(move, it)))
+                    if isinstance(it, Gate)
+                    else it.relabelled(move) if isinstance(it, PhaseSequence)
+                    else tuple(map(move, it)))
             return out
 
         return [move(it) for it in items]

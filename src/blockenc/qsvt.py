@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .circuits import Gate, flatten, global_phase, h, inverted, rz
+from .circuits import Angles, Gate, PhaseSequence, global_phase, h, inverted
 from .composites import Scale
 from .nodes import BudgetExceededError, Layout, Node, ProxyNode
 from .subspaces import ScratchPool, membership_flip_gates
@@ -373,6 +373,25 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     return PhaseVector(tuple(_symmetric_full(best_vars, d)), target.parity, best)
 
 
+# Entries of the largest temporary of `_at_singular_values`.
+_CHUNK = 1 << 20
+
+
+def _at_singular_values(target: TargetPolynomial, s) -> np.ndarray:
+    """The target at singular values s, clipped to [0, 1]: sum_j c_j
+    cos(j arccos s) over the coefficients of the target's parity, one matrix
+    product per chunk of values, each chunk's cosines at most `_CHUNK`
+    entries."""
+    j = np.arange(0 if target.parity == "even" else 1, target.degree + 1, 2)
+    c = np.asarray(target.coefficients)[j]
+    theta = np.arccos(np.clip(s, 0.0, 1.0))
+    out = np.empty(len(theta))
+    rows = max(1, _CHUNK // len(j))
+    for i in range(0, len(theta), rows):
+        out[i:i + rows] = np.cos(np.outer(theta[i:i + rows], j)) @ c
+    return out
+
+
 class SingularValueTransform(Node):
     """Applies a bounded polynomial to the singular values of a block.
 
@@ -397,7 +416,8 @@ class SingularValueTransform(Node):
 
     @cached_property
     def phase_vector(self) -> PhaseVector:
-        """Phases of the rescaled target, solved on first use (lowering)."""
+        """Phases of the rescaled target, solved on first use: a simulation,
+        a flattened gate sequence or an export, never counting."""
         s = self._rescale
         return solve_phases(self.target if s == 1.0 else self.target.scaled(s))
 
@@ -420,12 +440,12 @@ class SingularValueTransform(Node):
         u, svals, vh = np.linalg.svd(block)
         if self.target.parity == "odd":
             r = len(svals)
-            return (u[:, :r] * self.target(svals)) @ vh[:r, :]
+            return (u[:, :r] * _at_singular_values(self.target, svals)) @ vh[:r, :]
         n_in = block.shape[1]
         padded = np.zeros(n_in)
         padded[: len(svals)] = svals
         v = vh.conj().T
-        return (v * self.target(padded)) @ vh
+        return (v * _at_singular_values(self.target, padded)) @ vh
 
     def compute(self, v):
         return self._transformed @ np.asarray(v, dtype=complex)
@@ -433,25 +453,31 @@ class SingularValueTransform(Node):
     def adjoint_compute(self, w):
         return self._transformed.conj().T @ np.asarray(w, dtype=complex)
 
+    def _angles(self) -> list[float]:
+        """The RZ angle of each phase step, from the solved phases:
+        exp(i*phi*Z) chains become projector rotations after pulling a -pi/4
+        phase through each neighbouring signal application."""
+        phases = np.asarray(self.phase_vector.phases)
+        pulled = np.full(len(phases), 2.0)
+        pulled[0] -= 1
+        pulled[-1] -= 1
+        psi = phases - (math.pi / 4) * pulled
+        return (-2.0 * psi[::-1]).tolist()
+
     def _parts(self):
         a = self.a
         m = self.main_qubits
-        phases = np.asarray(self.phase_vector.phases)
-        d = len(phases) - 1
-        # exp(i*phi*Z) chains become projector rotations after pulling
-        # a -pi/4 phase through each neighbouring signal application
-        psi = phases.copy()
-        for j in range(d + 1):
-            psi[j] -= (math.pi / 4) * ((j > 0) + (j < d))
+        d = self.target.degree
 
         lcu = m
         lay = Layout(m, 1, self.children)
         rot = lay.scratch_base
 
         # the child, its adjoint, the sector marks and the flip are built
-        # once and spliced in by reference; each step adds only its RZ
-        fwd = flatten(lay.embed(0))
-        bwd = tuple(inverted(fwd))
+        # once and referenced by the one item of all d + 1 phase steps, which
+        # fetches its angles only when its gates are needed
+        fwd = tuple(lay.embed(0))
+        bwd = tuple(inverted(fwd)) if d > 1 else ()  # even steps from step 2 on
         marks, peak = [], 0
         for space in (a.subspace_in, a.subspace_out):
             pool = ScratchPool(rot + 1)
@@ -459,20 +485,14 @@ class SingularValueTransform(Node):
             marks.append((mark, mark[::-1]))
             peak = max(peak, pool.peak)
         flip = Gate("X", (rot,), ((lcu, 1),))
+        steps = PhaseSequence((bwd, fwd), tuple(marks), flip, Gate("RZ", (rot,)),
+                              Angles(self._angles), d)
 
-        items = [h(lcu)]
-        for k in range(d + 1):
-            if k:
-                items.append(fwd if k % 2 else bwd)
-            mark, unmark = marks[k % 2]
-            items += (mark, flip, rz(-2.0 * psi[d - k], rot), flip, unmark)
+        items = [h(lcu), steps]
         if d % 4:
             items.append(global_phase(d * math.pi / 2, [(lcu, 0)]))
             items.append(global_phase(-d * math.pi / 2, [(lcu, 1)]))
         items.append(h(lcu))
-
-        # a child or a mark without gates leaves no empty block behind
-        items = [it for it in items if isinstance(it, Gate) or it]
         return items, lay.persistent, max(lay.child_scratch, 1 + peak)
 
     def __repr__(self):

@@ -465,6 +465,21 @@ class TestValidation:
         assert circ.gates == (items[0], *block, items[2], *block)
         assert all(a is b for a, b in zip(circ.gates, flatten(items), strict=True))
 
+    def test_gates_read_the_items_as_their_flat_tuple(self):
+        block = (h(0), x(1, [(0, 1)]))
+        items = (x(0), block, rz(0.3, 1), block)
+        circ = Circuit(2, 0, items)
+        flat = flatten(items)
+        assert circ._items is items  # kept, not flattened
+        assert len(circ.gates) == len(flat) == 6
+        assert circ.gates == flat and flat == circ.gates and circ.gates != flat[:-1]
+        assert circ.gates[1] is flat[1] and circ.gates[-2:] == flat[-2:]
+        assert list(reversed(circ.gates)) == list(reversed(flat))
+        assert circ.gates.index(flat[3]) == 3 and circ.gates.count(block[0]) == 2
+        assert hash(circ.gates) == hash(flat) and repr(circ.gates) == repr(flat)
+        assert Circuit(2, 0, circ.gates) == circ and Circuit(2, 0, flat) == circ
+        assert circ.concat(circ).gates == flat + flat
+
 
 class TestAdjoint:
     def test_empty(self):

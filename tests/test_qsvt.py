@@ -7,7 +7,7 @@ import pytest
 
 import blockenc as be
 from blockenc import graphs, qsvt
-from blockenc.circuits import Circuit, Gate, flatten
+from blockenc.circuits import Circuit, Gate, PhaseSequence, flatten
 from blockenc.nodes import ProxyNode
 from blockenc.qsvt import (
     _LEAF,
@@ -374,6 +374,21 @@ class TestSingularValueTransformNode:
         want = (u[:, : len(s)] * t(s)) @ vh[: len(s), :]
         assert np.max(np.abs(node.toarray() - want)) < 1e-12
 
+    @pytest.mark.parametrize("chunk", [1 << 20, 7])
+    def test_target_at_singular_values_is_clenshaws(self, monkeypatch, chunk):
+        # the cosine products against `chebval`, at values in [0, 1] and on
+        # the Laplace N=4 inverse target (degree 879), in one chunk and in
+        # chunks of a few rows (one row at degree 879); 1e-13 is about 450
+        # units of rounding at |p| <= 1
+        monkeypatch.setattr(qsvt, "_CHUNK", chunk)
+        s = np.concatenate([np.random.default_rng(38).random(40), [0.0, 1.0]])
+        for t in (TargetPolynomial.chebyshev([0, 0.2, 0, 0.5 * 0.6]),
+                  TargetPolynomial.chebyshev([0.4, 0, 0.3]), laplace_solution(4)[0]._target):
+            assert np.max(np.abs(qsvt._at_singular_values(t, s) - t(s))) <= 1e-13
+            # a singular value past 1 by rounding is read at 1
+            assert qsvt._at_singular_values(t, np.array([1 + 1e-15])) == qsvt._at_singular_values(
+                t, np.array([1.0]))
+
 
 class TestChebyshevSeriesHelper:
     def test_matches_numpy_interpolation(self):
@@ -504,14 +519,21 @@ class TestPseudoinverse:
         assert node.delta == 1.0
         assert np.max(np.abs(node.toarray() - np.eye(2))) < 0.05
 
-    def test_phases_are_solved_on_lowering_only(self):
+    def test_phases_are_solved_on_first_simulate_flatten_or_export(self):
+        # counting, lowering and inverting need no angles; the gates do
         a = be.Identity(dim=4) + 0.5 * be.Increment(2)
-        solve_phases.cache_clear()
-        x = be.Pseudoinverse(a, condition=3.0, tolerance=0.05) @ be.ConstantVector([1, 2, 3, 4])
-        x.toarray()
-        assert solve_phases.cache_info().misses == 0
-        x.circuit()
-        assert solve_phases.cache_info().misses == 1
+        uses = (lambda x: x.simulate(np.ones(1)), lambda x: x.circuit().gates[0],
+                lambda x: x.circuit().export_text())
+        for use in uses:
+            solve_phases.cache_clear()
+            x = be.Pseudoinverse(a, condition=3.0, tolerance=0.05) @ be.ConstantVector([1, 2, 3, 4])
+            x.toarray()
+            x.resources()
+            circ = x.circuit()
+            assert len(circ.gates) == sum(circ.gate_counts().values()) == len(circ.adjoint().gates)
+            assert solve_phases.cache_info().misses == 0
+            use(x)
+            assert solve_phases.cache_info().misses == 1
 
     def test_graph_round_trip_reuses_the_fitted_target(self):
         a_inv, solution = laplace_solution(3)
@@ -532,9 +554,10 @@ class TestPseudoinverse:
             be.set_budget(old)
 
     def test_lowering_builds_each_repeated_part_once(self):
-        # Laplace N=4 solution, 72,179 gates.  The phase steps repeat the two
-        # sector marks and the child and its adjoint by reference, so under
-        # 1,000 distinct gate objects exist; a Gate per occurrence would trace ~25 MB
+        # Laplace N=4 solution, 72,179 gates.  The phase steps are one item
+        # that repeats the two sector marks and the child and its adjoint by
+        # reference, so under 1,000 distinct gate objects exist once the RZs
+        # are bound; a Gate per occurrence would trace ~25 MB
         a_inv, solution = laplace_solution(4)
         assert a_inv.phase_residual <= 1e-8  # solve outside the traced window
         tracemalloc.start()
@@ -545,7 +568,7 @@ class TestPseudoinverse:
             tracemalloc.stop()
         assert len(circ.gates) == 72179
         assert len({id(g) for g in circ.gates}) < 1000
-        assert peak < 4 * 2**20
+        assert peak < 3 * 2**16  # 106 KiB measured: the items, no gate tuple
 
 
 class TestLaplaceSimulation:
@@ -579,6 +602,18 @@ class TestLaplaceSimulation:
                 counts.append((a_inv.degree, len(arrays)))
             (low, first), (high, second) = counts
             assert low < high and first == second <= most
+
+    def test_n5_gates_are_counted_without_a_gate_tuple(self):
+        # the flat tuple alone would take 4.2 MB
+        solution = laplace_solution(5)[1]
+        tracemalloc.start()
+        try:
+            n = len(solution.circuit().gates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 519530
+        assert peak < 2**20
 
     def test_n5_simulate_norm_matches_the_arithmetic_path(self):
         # 16 qubits and 519,530 gates, of which at most 512 rows are ever live
@@ -621,6 +656,9 @@ class TestStructuralLowering:
     # the N=3 solution's gate tuple, recorded when each node still lowered to
     # a flat gate list
     N3_DIGEST = "aff49f226f57648d473438a7f46942e3b4e50f1bdfdd113fdb987434f3a76386"
+    # the N=4 solution's 72,179 gates, recorded when `Circuit` still stored
+    # them flattened (every angle lies over 1e-8 from a rounding boundary)
+    N4_DIGEST = "ca5d49be190545b089a3f407ba929597d28b4c909c7bb114a86c352fc3bc7a89"
 
     @staticmethod
     def svt(child):
@@ -644,6 +682,56 @@ class TestStructuralLowering:
         circ = laplace_solution(3)[1].circuit()
         assert gate_digest(circ.gates) == self.N3_DIGEST
         assert len({id(g) for g in circ.gates}) == 273
+
+    def test_n4_gate_tuple_is_unchanged(self):
+        circ = laplace_solution(4)[1].circuit()
+        assert len(circ.gates) == 72179
+        assert gate_digest(circ.gates) == self.N4_DIGEST
+        assert len({id(g) for g in circ.gates}) == 938
+
+    def test_structure_of_the_qsvt_does_not_grow_with_the_degree(self):
+        # one register at two tolerances, so two degrees: the phase steps are
+        # one item, whatever their number
+        counts = []
+        for tolerance in (0.01, 0.001):
+            a_inv, solution = laplace_solution(3, tolerance)
+            counts.append((a_inv.degree, len(a_inv.expansion.a._structure[0]),
+                           len(solution._structure[0])))
+        (low, *first), (high, *second) = counts
+        assert low < high and first == second
+
+    def test_estimate_of_a_read_back_graph_solves_no_phases(self):
+        _, solution = laplace_solution(3)
+        rebuilt = graphs.parse_document(graphs.document(solution))
+        solve_phases.cache_clear()
+        rep = rebuilt.resources()
+        assert solve_phases.cache_info().misses == 0
+        assert sum(rep.gate_counts.values()) == 10756
+        assert list(rep.gate_counts.items()) == list(rebuilt.circuit().gate_counts().items())
+        assert solve_phases.cache_info().misses == 0
+
+    @pytest.mark.parametrize("coefficients", [[0.5], [0, 0.5], [0.2, 0, 0.3], [0, 0.4, 0, 0.3],
+                                              [0.1, 0, 0.2, 0, 0.3]])
+    def test_phase_sequence_of_each_small_degree(self, coefficients):
+        # degree 0 has no block, degree 1 no even-step block
+        child = 0.6 * be.Increment(2) + 0.3 * be.Identity(dim=4)
+        svt = SingularValueTransform(child, TargetPolynomial.chebyshev(coefficients))
+        for node in (svt, svt.adjoint(), svt & be.Increment(1)):
+            self.assert_report_is_the_circuits(node)
+        circ = svt.circuit()
+        assert svt.adjoint().circuit().gates == tuple(g.inverse() for g in reversed(circ.gates))
+        assert svt.verify(10 * svt.normalization * svt.phase_residual + 1e-10).passed
+
+    def test_svt_of_an_svt_keeps_the_inner_sequence_in_its_blocks(self):
+        inner = self.svt(0.6 * be.Increment(2) + 0.3 * be.Identity(dim=4))
+        outer = SingularValueTransform(inner, TargetPolynomial.chebyshev([0, 0.5, 0, 0.3]))
+        (_, steps, *_), _, _ = outer._structure
+        assert any(isinstance(it, PhaseSequence) for it in steps.blocks[1])
+        for node in (outer, outer.adjoint()):
+            self.assert_report_is_the_circuits(node)
+        circ = outer.circuit()
+        assert outer.adjoint().circuit().gates == tuple(g.inverse() for g in reversed(circ.gates))
+        assert outer.verify(1e-7).passed
 
     def test_report_counts_the_circuit_of_the_solution(self):
         _, solution = laplace_solution(3)
