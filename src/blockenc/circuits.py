@@ -9,10 +9,11 @@ builds each repeated part once); `adjoint` inverts, and `gate_counts` and
 Lowering works on items.  An item is a `Gate`, a block (a tuple of items
 spliced in by reference, so a sequence that repeats a block d times holds d
 references to one tuple) or a `PhaseSequence`, the d + 1 phase steps of a
-singular value transformation as one item whose RZ angles are fetched only
-when a gate, a simulation or an export needs them.  `flatten`, `inverted`
-and `item_counts` act on items, each distinct gate and block once, and count
-a phase sequence from its per-step parts.  `Circuit` keeps its items: its
+singular value transformation as one item.  A phase sequence iterates as its
+parts, like a block; the first simulation, flatten or export that iterates
+it binds its d + 1 RZ gates, once.  `flatten`, `inverted` and `item_counts`
+act on items, each distinct gate and block once, and count a phase sequence
+from its per-step parts, without its angles.  `Circuit` keeps its items: its
 `gates` is a read-only view whose length is counted from them, so no gate
 tuple is built unless one is asked for, and it range-checks each distinct
 gate once.
@@ -38,11 +39,15 @@ When every row is live the compact state starts as a copy of the input,
 and if no gate moved a row it is returned as the output.
 
 Rows are never dropped, so the compact state has the length of the last
-live array.  The transition of a block or a repeated gate is memoized per
-interned live set, and positions per live set, controls and target bit, so
-the QSVT sequence, whose live set saturates after a few phase steps, keeps
-a few arrays of at most |live| entries whatever its degree; each phase
-step's RZ is a multiply at those shared positions by that step's factors.
+live array.  One walk serves the circuit's items, a block's items and a phase
+sequence's parts.  The transition of a block, a phase sequence, or a gate
+that repeats at the top level or among a phase sequence's parts (as its
+`occurrences` count them) is memoized per interned live set; a block's own
+gates run as they come.  Positions are memoized per live set, controls and
+target bit, so the QSVT sequence, whose live set saturates after a few
+phase steps, keeps a few arrays of at most |live| entries whatever its
+degree; each phase step's RZ is a multiply at those shared positions by
+that step's factors.
 """
 from __future__ import annotations
 
@@ -84,9 +89,12 @@ _DIAGONAL_1Q = {
     "RZ": lambda t: (cmath.exp(-1j * t / 2), cmath.exp(1j * t / 2)),
 }
 
+# The number of targets of each kind but Permutation, whose table sets it.
+_ARITY = {**dict.fromkeys((*_MATRIX_1Q, *_DIAGONAL_1Q, "X"), 1), "Swap": 2, "GlobalPhase": 0}
+
 _SELF_INVERSE = frozenset({"X", "Y", "Z", "H", "Swap"})
 _NEGATE_PARAM = frozenset({"Phase", "RX", "RY", "RZ", "GlobalPhase"})
-KINDS = frozenset(_MATRIX_1Q) | frozenset(_DIAGONAL_1Q) | {"X", "GlobalPhase", "Swap", "Permutation"}
+KINDS = frozenset(_ARITY) | {"Permutation"}
 
 
 class UnsupportedGateError(ValueError):
@@ -104,13 +112,17 @@ class Gate:
     table: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        n = len(self.targets)
         if self.kind not in KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if _ARITY.get(self.kind, n) != n:
+            raise ValueError(f"{self.kind} gate needs {_ARITY[self.kind]} target(s), got {n}")
         if isinstance(self.param, (complex, np.complexfloating)):
             raise ValueError(f"gate parameter must be real, got {self.param!r}")
-        used = list(self.targets) + [q for q, _ in self.controls]
-        if len(set(used)) != len(used):
-            raise ValueError("gate targets and controls must be pairwise distinct qubits")
+        if self.controls or n > 1:  # a lone target has no qubit to clash with
+            used = list(self.targets) + [q for q, _ in self.controls]
+            if len(set(used)) != len(used):
+                raise ValueError("gate targets and controls must be pairwise distinct qubits")
         if self.kind == "Permutation":
             if self.table is None:
                 raise ValueError("Permutation gate needs a table")
@@ -173,22 +185,6 @@ def permutation(table, targets, controls=()):
     return Gate("Permutation", tuple(targets), tuple(controls), table=tuple(int(t) for t in table))
 
 
-class Angles:
-    """The RZ angles of the steps of a phase sequence, fetched by `fetch` on
-    first use and shared by the sequence's relabelled copies."""
-
-    def __init__(self, fetch):
-        self._fetch = fetch
-
-    @cached_property
-    def values(self) -> tuple[float, ...]:
-        return tuple(self._fetch())
-
-    def inverse(self) -> "Angles":
-        """The angles of the inverse sequence: reversed and negated."""
-        return Angles(lambda: [-t for t in reversed(self.values)])
-
-
 class PhaseSequence:
     """The d + 1 phase steps of a singular value transformation as one item.
 
@@ -196,24 +192,32 @@ class PhaseSequence:
     `marks[k % 2]`, `flip`, an RZ by the angle of step k on the qubit and
     controls of `rotation` (an RZ without an angle), `flip` again and the
     unmark.  Only the RZ differs between steps, so the sequence is counted,
-    relabelled and inverted by its parts, without its angles; `rotations`
-    binds one RZ `Gate` per step, once, when the gates themselves are asked
-    for."""
+    relabelled and inverted by its parts, without its angles.  Iterating it
+    yields its parts in order, so it flattens, exports and simulates like a
+    block; the first iteration calls `angles` and binds one RZ `Gate` per
+    step, once."""
 
     def __init__(self, blocks, marks, flip, rotation, angles, degree):
         self.blocks = blocks  # (block of the even steps, block of the odd steps)
         self.marks = marks  # ((mark, unmark) of the even steps, of the odd steps)
         self.flip = flip
         self.rotation = rotation
-        self.angles = angles
+        self.angles = angles  # () -> the RZ angle of each step
         self.degree = degree
 
     @cached_property
     def rotations(self) -> tuple[Gate, ...]:
         r = self.rotation
-        return tuple(Gate(r.kind, r.targets, r.controls, t) for t in self.angles.values)
+        return tuple(Gate(r.kind, r.targets, r.controls, t) for t in self.angles())
 
-    def parts(self):
+    @property
+    def repeated(self) -> set[int]:
+        """The ids of the parts that occur more than once, counted by
+        `occurrences` without the angles; the planner runs them by their
+        transitions."""
+        return {id(p) for p, n in self.occurrences() if n > 1}
+
+    def __iter__(self):
         """The items of the flattened sequence in order, with one RZ per step."""
         for k, rz in enumerate(self.rotations):
             mark, unmark = self.marks[k % 2]
@@ -253,7 +257,7 @@ class PhaseSequence:
                       for p in (0, 1))
         blocks = tuple(inverse(self.blocks[(d + 1 - p) % 2]) for p in (0, 1))
         return PhaseSequence(blocks, marks, inverse(self.flip), self.rotation,
-                             self.angles.inverse(), d)
+                             lambda: [-t for t in reversed(self.angles())], d)
 
 
 class Gates(Sequence):
@@ -381,7 +385,10 @@ class Circuit:
         if last is not None and last[0] == key:
             return last[1]
         planner = _Planner(self.n_qubits, live)
-        steps = planner.walk(self._items)
+        ids = list(map(id, self._items))
+        repeated = (() if len(set(ids)) == len(ids)  # as in most small circuits
+                    else {i for i, n in Counter(ids).items() if n > 1})
+        steps = planner.walk(self._items, repeated)
         # every label, in order, if every row was live and no gate moved one
         in_order = len(live) == planner.dim and planner.live is live
         plan = _Plan(live, steps, planner.live, in_order)
@@ -442,7 +449,7 @@ def _stream(items):
         if isinstance(it, Gate):
             yield it
         else:
-            yield from _stream(it.parts() if isinstance(it, PhaseSequence) else it)
+            yield from _stream(it)
 
 
 def flatten(items) -> tuple[Gate, ...]:
@@ -531,7 +538,7 @@ class _Plan(NamedTuple):
     the amplitude of basis label `live_in[i]`, then `live_out[i]`, at row i."""
 
     live_in: np.ndarray
-    steps: list  # one tuple of steps per item, or per part of a phase step, that has any
+    steps: list  # one tuple of steps per item that has any
     live_out: np.ndarray
     in_order: bool  # live_out is known to be every label in order
 
@@ -579,13 +586,14 @@ class _Planner:
     whole plan has the length of its last live array.  A classical gate only
     relabels `live` and leaves no step.
 
-    The transition of a block or a repeated gate is memoized by the live set
-    it starts from, interned (`key`) with the first arrangement of its labels
-    that reached a memo; a later arrangement of the same set is moved back to
-    that one by a `_Reorder` step, so a run repeated any number of times
-    keeps one arrangement per live set.  Positions of diagonal and matrix
-    gates are memoized by the live key, the controls and the target bit, so
-    the distinct RZ gates of a QSVT sequence share them.  A live array that
+    The transition of a block, a phase sequence or a repeated gate is
+    memoized by the live set it starts from, interned (`key`) with the first
+    arrangement of its labels that reached a memo; a later arrangement of the
+    same set is moved back to that one by a `_Reorder` step, so a run
+    repeated any number of times keeps one arrangement per live set.
+    Positions of diagonal and matrix gates are memoized by the live key, the
+    controls and the target bit, so the distinct RZ gates of a QSVT sequence
+    share them.  A live array that
     no memo needs is never interned."""
 
     def __init__(self, n, live):
@@ -599,35 +607,28 @@ class _Planner:
         self.transitions = {}  # (key, id of an item) -> (key, live, steps)
         self.positions = {}  # (key, mask, value[, bit]) -> positions or pairs
 
-    def walk(self, items):
-        ids = list(map(id, items))
-        repeated = (() if len(set(ids)) == len(ids)  # as in most small circuits
-                    else {i for i, n in Counter(ids).items() if n > 1})
+    def walk(self, items, repeated):
+        """One tuple of steps per item that has any: a gate whose id is in
+        `repeated`, a block and a phase sequence by their transitions, any
+        other gate as it comes.  An empty block leaves no memo or step."""
         steps = []
-        for it, i in zip(items, ids):
-            if isinstance(it, PhaseSequence):  # one tuple of steps per part of each step
-                self.sequence(it, steps)
-                continue
-            s = (self.gate(it) if isinstance(it, Gate) and i not in repeated
-                 else self.transition(it))
+        for it in items:
+            s = (self.gate(it) if isinstance(it, Gate) and id(it) not in repeated
+                 else self.transition(it) if it else ())
             if s:
                 steps.append(s)
         return steps
 
     def transition(self, it):
         """The steps of a block, a phase sequence or a repeated gate, memoized
-        by the live key."""
+        by the live key.  A block's gates run as they come, and a phase
+        sequence's repeated parts by their transitions."""
         settle = self.settle() if self.key is None else ()
         start = self.key, id(it)
         hit = self.transitions.get(start)
         if hit is None:
-            if isinstance(it, Gate):
-                steps = self.gate(it)
-            elif isinstance(it, PhaseSequence):
-                steps = tuple(chain.from_iterable(self.sequence(it, [])))
-            else:  # a block: its gates each in turn, its other items by their transitions
-                steps = tuple(s for x in it
-                              for s in (self.gate(x) if isinstance(x, Gate) else self.transition(x)))
+            steps = (self.gate(it) if isinstance(it, Gate) else
+                     tuple(chain.from_iterable(self.walk(it, getattr(it, "repeated", ())))))
             if self.key is None:
                 steps += self.settle()
             hit = self.transitions[start] = (self.key, self.live, steps)
@@ -635,30 +636,6 @@ class _Planner:
             self.key, self.live, _ = hit
             self.stale = True
         return settle + hit[2] if settle else hit[2]
-
-    def sequence(self, seq, steps):
-        """Append the steps of each phase step of `seq` to `steps`: its block,
-        marks and flips by their transitions, and its RZ as multiplies at the
-        positions every step shares, by that step's factors."""
-        rotation = seq.rotation
-        mask, value = _condition(rotation.controls)
-        bit = 1 << rotation.targets[0]
-
-        def add(s):
-            if s:
-                steps.append(s)
-
-        for k, t in enumerate(seq.angles.values):
-            mark, unmark = seq.marks[k % 2]
-            for part in ((seq.blocks[k % 2], mark) if k else (mark,)):
-                if part:  # no empty block leaves a memo or a step
-                    add(self.transition(part))
-            add(self.transition(seq.flip))
-            add(self.diagonal(_DIAGONAL_1Q["RZ"](t), mask, value, bit))
-            add(self.transition(seq.flip))
-            if unmark:
-                add(self.transition(unmark))
-        return steps
 
     def settle(self):
         """Intern the live set; the step that moves its rows to the set's
@@ -692,21 +669,16 @@ class _Planner:
             where = self.where(mask, value)
             return (_Scale(where, cmath.exp(1j * g.param)),) if where is _ALL or len(where) else ()
         bit = 1 << g.targets[0]
-        if kind in _DIAGONAL_1Q:
-            return self.diagonal(_DIAGONAL_1Q[kind](g.param), mask, value, bit)
+        if kind in _DIAGONAL_1Q:  # a multiply on each target value whose factor is not 1
+            steps = ()
+            for half, f in enumerate(_DIAGONAL_1Q[kind](g.param)):
+                if f != 1:
+                    where = self.where(mask | bit, value | half * bit)
+                    if len(where):
+                        steps += (_Scale(where, f),)
+            return steps
         pairs = self.pairs(mask, value, bit)
         return (_Pairs(pairs, _MATRIX_1Q[kind](g.param)),) if pairs.shape[1] else ()
-
-    def diagonal(self, factors, mask, value, bit):
-        """The multiplies of a diagonal gate on `bit` under the controls, by
-        `factors` on target values 0 and 1."""
-        steps = ()
-        for half, f in enumerate(factors):
-            if f != 1:
-                where = self.where(mask | bit, value | half * bit)
-                if len(where):
-                    steps += (_Scale(where, f),)
-        return steps
 
     def where(self, mask, value):
         """The positions of the live labels x with x & mask == value."""
@@ -857,7 +829,7 @@ def export_text(circuit: Circuit, lower_permutations: bool = False) -> str:
         if out is None:
             out = text[id(it)] = (
                 "".join(line + "\n" for line in emit(it)) if isinstance(it, Gate)
-                else "".join(map(text_of, it.parts() if isinstance(it, PhaseSequence) else it)))
+                else "".join(map(text_of, it)))
         return out
 
     return "\n".join(lines) + "\n" + "".join(map(text_of, circuit._items))

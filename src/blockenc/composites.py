@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuits import Gate, global_phase, inverted, permutation, ry
 from .nodes import Layout, Node, ProxyNode, Wrapper
-from .primitives import ConstantVector, Identity, Permutation, Projection
+from .primitives import ConstantVector, Identity, Permutation, Projection, register_table
 from .subspaces import ScratchPool, Subspace, membership_flip_gates
 
 
@@ -203,8 +203,8 @@ class Product(Node):
         mid_out = b.subspace_out.pad_to(m)
         mid_in = a.subspace_in.pad_to(m)
         if mid_out != mid_in:
-            tbl = _alignment_table(mid_out, mid_in, m)
-            if tbl is not None:
+            tbl = register_table(mid_out.enumerate_basis(), mid_in.enumerate_basis(), m)
+            if tbl != list(range(1 << m)):
                 gates.append(permutation(tbl, range(m)))
 
         memb_scr = 0
@@ -218,25 +218,6 @@ class Product(Node):
 
     def __repr__(self):
         return f"({self.a!r} @ {self.b!r})"
-
-
-def _alignment_table(src: Subspace, dst: Subspace, m: int):
-    """Register permutation sending the k-th basis index of src to the k-th of
-    dst, complement to complement in increasing order.  None if identity."""
-    full = np.arange(1 << m, dtype=np.int64)
-    bs = src.enumerate_basis()
-    bd = dst.enumerate_basis()
-    tbl = full.copy()
-    tbl[bs] = bd
-    mask = np.ones(1 << m, dtype=bool)
-    mask[bs] = False
-    cs = full[mask]
-    mask[:] = True
-    mask[bd] = False
-    tbl[cs] = full[mask]
-    if np.array_equal(tbl, full):
-        return None
-    return tbl.tolist()
 
 
 class Tensor(Node):

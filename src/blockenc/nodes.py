@@ -23,7 +23,9 @@ a few dozen items whatever the degree.  `resources` counts gates from the
 items, each distinct block once and a phase sequence from its per-step
 parts, so it builds no `Circuit` and solves no phases; `circuit()` hands the
 items to `Circuit`, which keeps them and range-checks each distinct gate
-once.
+once.  A phase sequence iterates as its parts: its d + 1 RZ gates are bound
+on its first simulation, flatten or export, and the simulator's planner
+walks it like a block, taking its repeats from `occurrences()`.
 """
 from __future__ import annotations
 

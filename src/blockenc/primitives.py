@@ -276,24 +276,23 @@ class Permutation(_Unitary):
         return np.asarray(w, dtype=complex)[np.asarray(self.table)]
 
     def _parts(self):
-        m = self._s.qubit_count
-        return [permutation(register_table(self._s, self.table), range(m))], 0, 0
+        m, basis = self._s.qubit_count, self._s.enumerate_basis()
+        return [permutation(register_table(basis, basis[list(self.table)], m), range(m))], 0, 0
 
     def __repr__(self):
         return f"Permutation(dim={len(self.table)})"
 
 
-def register_table(subspace: Subspace, block_table) -> list[int]:
-    """Extend a permutation of a subspace's basis to the whole register.
-
-    Basis index k maps to basis index block_table[k]; complement indices map
-    to complement indices in increasing order (the identity).
-    """
-    m = subspace.qubit_count
-    basis = subspace.enumerate_basis()
-    full = np.arange(1 << m, dtype=np.int64)
-    full[basis] = basis[np.asarray(block_table, dtype=np.int64)]
-    return full.tolist()
+def register_table(src, dst, m: int) -> list[int]:
+    """The table of a permutation of the 2^m basis rows that sends row src[k]
+    to row dst[k], and the other rows, in increasing order, to the rows dst
+    leaves out, in increasing order."""
+    rest = np.ones((2, 1 << m), dtype=bool)
+    rest[0, src] = rest[1, dst] = False
+    table = np.empty(1 << m, dtype=np.int64)
+    table[src] = dst
+    table[rest[0]] = rest[1].nonzero()[0]
+    return table.tolist()
 
 
 class Projection(Node):

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .circuits import Angles, Gate, PhaseSequence, global_phase, h, inverted
+from .circuits import Gate, PhaseSequence, global_phase, h, inverted
 from .composites import Scale
 from .nodes import BudgetExceededError, Layout, Node, ProxyNode
 from .subspaces import ScratchPool, membership_flip_gates
@@ -486,7 +486,7 @@ class SingularValueTransform(Node):
             peak = max(peak, pool.peak)
         flip = Gate("X", (rot,), ((lcu, 1),))
         steps = PhaseSequence((bwd, fwd), tuple(marks), flip, Gate("RZ", (rot,)),
-                              Angles(self._angles), d)
+                              self._angles, d)
 
         items = [h(lcu), steps]
         if d % 4:
@@ -598,6 +598,10 @@ class Pseudoinverse(ProxyNode):
         self.children = (a,)
         self.condition = float(condition)
         self.tolerance = float(tolerance)
+        cap = 4 * self.condition * math.log(4.0 / self.tolerance)
+        if not math.isfinite(cap):
+            raise ValueError(f"condition {condition} too large: the degree cap "
+                             "4*condition*ln(4/tolerance) is not finite")
         if delta is None:
             try:
                 block = a.toarray() / a.normalization
@@ -609,8 +613,7 @@ class Pseudoinverse(ProxyNode):
             keep = svals[svals > 1e-12 * svals[0]]
             delta = min(float(keep[-1]), 1.0)  # block norms can round above 1
         self.delta = float(delta)
-        cap = math.ceil(4 * self.condition * math.log(4.0 / self.tolerance))
-        self._target, self._comp = _inverse_target(self.delta, self.tolerance, cap)
+        self._target, self._comp = _inverse_target(self.delta, self.tolerance, math.ceil(cap))
 
     @property
     def degree(self) -> int:

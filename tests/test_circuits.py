@@ -421,6 +421,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             Gate(kind, targets, controls, table=table)
 
+    @pytest.mark.parametrize("kind, arity", [
+        *((k, 1) for k in ("X", "Y", "Z", "H", "S", "T", "Phase", "RX", "RY", "RZ")),
+        ("Swap", 2), ("GlobalPhase", 0),
+    ])
+    def test_gate_needs_its_number_of_targets(self, kind, arity):
+        # a Swap on one qubit would read one input into two rows; an X on two
+        # would act on the first and export both
+        param = 0.5 if kind in ("Phase", "RX", "RY", "RZ", "GlobalPhase") else None
+        assert len(Gate(kind, tuple(range(arity)), param=param).targets) == arity
+        for n in {0, 1, 2, 3} - {arity}:
+            with pytest.raises(ValueError, match=f"needs {arity} target"):
+                Gate(kind, tuple(range(n)), param=param)
+
     @pytest.mark.parametrize("kind, targets, param", [
         ("RZ", (0,), 1j), ("GlobalPhase", (), -0.5j), ("Phase", (0,), np.complex64(0.5j)),
     ])

@@ -97,7 +97,9 @@ class TestVerify:
                      {"op": "scale", "args": [QFT], "params": {"factor": True}},
                      {"op": "constant_vector", "entries": [True, False]},
                      {"op": "pseudoinverse", "args": [INC],
-                      "params": {"condition": True, "tolerance": 0.05, "delta": "0.5"}}]:
+                      "params": {"condition": True, "tolerance": 0.05, "delta": "0.5"}},
+                     {"op": "pseudoinverse", "args": [INC],
+                      "params": {"condition": 1e308, "tolerance": 0.05}}]:
             p.write_text(json.dumps({"version": 1, "root": root}))
             rc, _, err = run(capsys, "verify", str(p))
             assert rc == 2 and err.startswith(f"error: {p}: bad fields for op {root['op']!r}: ")

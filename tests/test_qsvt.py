@@ -753,14 +753,20 @@ class TestStructuralLowering:
             self.assert_report_is_the_circuits(node)
 
     def test_circuit_from_items_is_the_circuit_from_their_flat_tuple(self):
-        _, solution = laplace_solution(3)
-        items, _, ancillas = solution._structure
-        assert any(not isinstance(it, Gate) for it in items)  # blocks, as the QSVT shares them
-        from_items = Circuit(solution.main_qubits, ancillas, items)
-        from_flat = Circuit(solution.main_qubits, ancillas, flatten(items))
-        assert len(from_items.gates) == 10756
-        assert all(a is b for a, b in zip(from_items.gates, from_flat.gates, strict=True))
-        assert solution.circuit().gates == from_items.gates
+        for n, length in ((3, 10756), (4, 72179)):
+            _, solution = laplace_solution(n)
+            items, _, ancillas = solution._structure
+            assert any(not isinstance(it, Gate) for it in items)  # blocks, as the QSVT shares them
+            from_items = Circuit(solution.main_qubits, ancillas, items)
+            from_flat = Circuit(solution.main_qubits, ancillas, flatten(items))
+            assert len(from_items.gates) == length
+            assert all(a is b for a, b in zip(from_items.gates, from_flat.gates, strict=True))
+            assert solution.circuit().gates == from_items.gates
+            # the planner's one walk over items, blocks and phase sequences
+            # simulates bit for bit as its walk over the flat gates
+            x = np.zeros(1 << from_items.n_qubits, dtype=complex)
+            x[solution.subspace_in.enumerate_basis()] = 1
+            assert np.array_equal(from_items.apply(x), from_flat.apply(x))
 
     def test_circuit_adjoint_inverts_each_object_once(self):
         _, solution = laplace_solution(3)
