@@ -62,15 +62,13 @@ class TargetPolynomial:
     parity: str  # "even" | "odd"
 
     @classmethod
-    def chebyshev(cls, coefficients, parity: str | None = None, *,
-                  _sup: float | None = None) -> "TargetPolynomial":
+    def chebyshev(cls, coefficients, parity: str | None = None) -> "TargetPolynomial":
         """The target with these coefficients, trailing ones below 1e-14
-        trimmed, after checking parity and the unit bound.  `_sup` is the
-        default sup of exactly `coefficients` when the caller has sampled
-        them already; it stands in for the sample unless trimming changed
-        the series."""
+        trimmed, after checking parity and the unit bound.  The unit bound
+        reads `sup_bound` and samples `sup_norm` only when the bound is
+        above 1 + 1e-9, so it rejects exactly the targets whose default
+        sample exceeds 1 + 1e-9."""
         c = np.asarray(coefficients, dtype=float)
-        given = len(c)
         while len(c) > 1 and abs(c[-1]) <= 1e-14:
             c = c[:-1]
         d = len(c) - 1
@@ -86,11 +84,8 @@ class TargetPolynomial:
             raise ValueError(f"coefficients of wrong parity present (max "
                              f"{np.max(np.abs(wrong)):.2e})")
         t = cls(tuple(c), parity)
-        if _sup is not None and len(c) == given:
-            vars(t)["_default_sup"] = _sup  # what the cached property would compute
-        sup = t.sup_norm()
-        if sup > 1 + 1e-9:
-            raise ValueError(f"target exceeds the unit bound: sup ~= {sup:.6f}")
+        if t._exceeds(1 + 1e-9):
+            raise ValueError(f"target exceeds the unit bound: sup ~= {t.sup_norm():.6f}")
         return t
 
     @property
@@ -101,8 +96,9 @@ class TargetPolynomial:
         return cheb.chebval(x, np.asarray(self.coefficients))
 
     def sup_norm(self, samples: int = 2001) -> float:
-        """Largest |p| over `samples` equispaced points of [-1, 1]; the default
-        sample is evaluated once per instance."""
+        """Largest |p| over `samples` equispaced points of [-1, 1].  A sample
+        can miss a peak between its points; `sup_bound` cannot.  The default
+        sample is evaluated on first use, once per instance."""
         if samples == 2001:
             return self._default_sup
         return _sampled_sup(self, samples)
@@ -110,6 +106,28 @@ class TargetPolynomial:
     @cached_property
     def _default_sup(self) -> float:
         return _sampled_sup(self, 2001)
+
+    @cached_property
+    def sup_bound(self) -> float:
+        """An upper bound on max |p| over [-1, 1], computed without sampling.
+
+        One real FFT of length 2M gives p at the M + 1 Chebyshev extrema
+        cos(k pi / M), M the least power of two >= 4d, and the largest |p|
+        there times sec(d pi / 2M) <= sec(pi / 8) bounds |p| everywhere
+        (Ehlich & Zeller, Math. Z. 1964).  The slack (d + 1) 1e-14 sum |c_j|
+        covers the rounding of the FFT and of a Clenshaw evaluation, so the
+        bound is never below a sampled sup such as `sup_norm`."""
+        c = np.asarray(self.coefficients)
+        d = self.degree
+        m = 1 << (4 * d - 1).bit_length() if d else 1
+        extrema = np.fft.rfft(c, 2 * m).real
+        return (float(np.max(np.abs(extrema))) / math.cos(d * math.pi / (2 * m))
+                + (d + 1) * 1e-14 * float(np.sum(np.abs(c))))
+
+    def _exceeds(self, level: float) -> bool:
+        """Whether the default sample `sup_norm()` exceeds `level`: the bound
+        decides without sampling when it is at most `level`."""
+        return self.sup_bound > level and self.sup_norm() > level
 
     def scaled(self, s: float) -> "TargetPolynomial":
         return TargetPolynomial(tuple(s * c for c in self.coefficients), self.parity)
@@ -324,10 +342,9 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
         res = float(np.max(np.abs(realized - _chebyshev_at_nodes(c, d + 1))))
         return PhaseVector(tuple(phases), target.parity, res)
 
-    sup = target.sup_norm()
-    if sup > 1 - _MARGIN:
-        raise ValueError(
-            f"target sup-norm {sup:.6f} is above 1 - {_MARGIN}; rescale the target first")
+    if target._exceeds(1 - _MARGIN):
+        raise ValueError(f"target sup-norm {target.sup_norm():.6f} is above "
+                         f"1 - {_MARGIN}; rescale the target first")
 
     k = (d + 2) // 2  # free symmetric phases = free coefficients of this parity
     fx = _chebyshev_at_nodes(c, k)
@@ -407,12 +424,8 @@ class SingularValueTransform(Node):
         self.a = a
         self.children = (a,)
         self.target = target
-        sup = target.sup_norm()
-        if sup > 1 - _MARGIN:
-            s = (1 - _MARGIN) / sup
-        else:
-            s = 1.0
-        self._rescale = s
+        self._rescale = ((1 - _MARGIN) / target.sup_norm()
+                         if target._exceeds(1 - _MARGIN) else 1.0)
 
     @cached_property
     def phase_vector(self) -> PhaseVector:
@@ -524,21 +537,28 @@ def _inverse_target(delta: float, eps: float, cap: int):
     rebuilt from its graph document does not fit its target again.
 
     The degree search runs the recurrence T_{j+1} = 2x T_j - T_{j-1} on a
-    2,001-point grid of [delta, 1] and adds to the partial sum only at odd
-    j, since the even coefficients are exactly zero.  Each odd degree is
-    first tried at one witness point, the grid point where the last full
-    check erred most (at first x = delta): if it misses there it misses the
-    full check, and otherwise the full check decides, so the degree is the
-    one a full check at every odd j finds.  The clamp's 4,001-point sample
-    is evaluated once; its even-index entries are the default 2,001-point
-    grid, so an unclamped target takes its `sup_norm` from them.
+    2,001-point grid of [delta, 1] in three rotating buffers, and adds to
+    the partial sum in place only at odd j, since the even coefficients are
+    exactly zero.  Each odd degree is first tried at one witness point, the
+    grid point where the last full check erred most (at first x = delta):
+    if it misses there it misses the full check, and otherwise the full
+    check decides, so the degree is the one a full check at every odd j
+    finds.  The clamp to 1 - 2 * `_MARGIN` reads the target's `sup_bound`
+    and evaluates the series on 4,001 points of [-1, 1] only when the bound
+    is above the clamp level; the sample decides whether and by how much to
+    clamp.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if delta == 1.0:
         b = 1
     else:
-        b = max(1, math.ceil(math.log(4.0 / eps) / -math.log1p(-delta * delta)))
+        gain = -math.log1p(-delta * delta)  # 0 once delta^2 underflows
+        b = math.log(4.0 / eps) / gain if gain else math.inf
+        if not math.isfinite(b):
+            raise ValueError(f"delta {delta} is too small: the window exponent "
+                             "ln(4/eps) / -ln(1 - delta^2) is not finite")
+        b = max(1, math.ceil(b))
 
     def f(xs):
         xs = np.asarray(xs, dtype=float)
@@ -555,33 +575,37 @@ def _inverse_target(delta: float, eps: float, cap: int):
     grid = np.linspace(delta, 1.0, 2001)
     want = 0.5 * delta / grid
     two_x = 2 * grid
-    t_j, t_next = np.ones_like(grid), grid  # T_j and T_{j+1} on the grid
-    partial = np.zeros_like(grid)
+    # T_j, T_{j+1} and a spare; `grid` itself is never overwritten
+    t_j, t_next, spare = np.ones_like(grid), grid.copy(), np.empty_like(grid)
+    partial, term = np.zeros_like(grid), np.empty_like(grid)
     witness = 0  # where the last full check erred most
     degree = None
     for j in range(min(cap, n) + 1):
         if j % 2 == 1:
-            partial = partial + coefs[j] * t_j
+            np.multiply(coefs[j], t_j, out=term)
+            np.add(partial, term, out=partial)
             if abs(partial[witness] - want[witness]) <= eps / 2:
-                err = np.abs(partial - want)
+                np.subtract(partial, want, out=term)
+                err = np.abs(term, out=term)
                 witness = int(np.argmax(err))
                 if err[witness] <= eps / 2:
                     degree = j
                     break
-        t_j, t_next = t_next, t_next * two_x - t_j
+        np.multiply(t_next, two_x, out=spare)
+        np.subtract(spare, t_j, out=spare)
+        t_j, t_next, spare = t_next, spare, t_j
     if degree is None:
         raise PhaseSolverError(
             f"no odd degree within the budget {cap} reaches accuracy {eps / 2:.2e}")
     c = coefs[: degree + 1].copy()
 
-    xs = np.linspace(-1.0, 1.0, 4001)  # xs[::2] is the default 2,001-point grid
-    sample = np.abs(cheb.chebval(xs, c))
-    sup = float(np.max(sample))
-    bound = 1 - 2 * _MARGIN
-    if sup > bound:
-        c *= bound / sup
-        return TargetPolynomial.chebyshev(c, "odd"), sup / bound
-    return TargetPolynomial.chebyshev(c, "odd", _sup=float(np.max(sample[::2]))), 1.0
+    level = 1 - 2 * _MARGIN
+    if TargetPolynomial(tuple(c), "odd").sup_bound > level:
+        sup = float(np.max(np.abs(cheb.chebval(np.linspace(-1.0, 1.0, 4001), c))))
+        if sup > level:
+            c *= level / sup
+            return TargetPolynomial.chebyshev(c, "odd"), sup / level
+    return TargetPolynomial.chebyshev(c, "odd"), 1.0
 
 
 class Pseudoinverse(ProxyNode):

@@ -99,7 +99,12 @@ class TestVerify:
                      {"op": "pseudoinverse", "args": [INC],
                       "params": {"condition": True, "tolerance": 0.05, "delta": "0.5"}},
                      {"op": "pseudoinverse", "args": [INC],
-                      "params": {"condition": 1e308, "tolerance": 0.05}}]:
+                      "params": {"condition": 1e308, "tolerance": 0.05}},
+                     # delta^2 underflows to 0, and ln(4/eps) / delta^2 overflows
+                     {"op": "pseudoinverse", "args": [INC],
+                      "params": {"condition": 2, "tolerance": 0.05, "delta": 1e-300}},
+                     {"op": "pseudoinverse", "args": [INC],
+                      "params": {"condition": 2, "tolerance": 0.05, "delta": 1e-160}}]:
             p.write_text(json.dumps({"version": 1, "root": root}))
             rc, _, err = run(capsys, "verify", str(p))
             assert rc == 2 and err.startswith(f"error: {p}: bad fields for op {root['op']!r}: ")

@@ -100,13 +100,62 @@ class TestTargetPolynomial:
                             lambda self, x: calls.append(1) or call(self, x))
         t = TargetPolynomial.chebyshev([0.0, 0.5, 0.0, 0.3])
         SingularValueTransform(be.Increment(2), t)
-        assert len(calls) == 1
+        assert len(calls) == 0  # the bound decides the unit check and the rescale
         for samples in (2001, 101):
             want = float(np.max(np.abs(call(t, np.linspace(-1, 1, samples)))))
             assert t.sup_norm(samples) == t.sup_norm(samples) == want
         assert len(calls) == 3  # the default sample once, 101 points twice
         same = TargetPolynomial(t.coefficients, t.parity)
         assert same == t and hash(same) == hash(t)
+
+    def test_sup_bound_is_a_certified_upper_bound(self):
+        # max |p| over the 400,001 points cos(linspace(0, pi)), by a length
+        # 800,000 real FFT spot-checked against chebval (up to the rounding
+        # of x, times slopes up to d^2); the bound lies between it (and the
+        # sampled sups) and sec(pi/8) times it
+        rng = np.random.default_rng(42)
+        degrees = [int(d) for d in rng.integers(0, 301, 40)] + [0, 1, 2, 3, 255, 256, 257, 300]
+        targets = [bounded_random_target(rng, d, 1.0) for d in degrees]
+        targets += [TargetPolynomial.chebyshev([0.0] * d + [1.0])
+                    for d in (0, 1, 2, 3, 64, 256, 300)]
+        targets += [_inverse_target(*args)[0] for args, _ in TestInverseTarget.FITS]
+        xs = np.cos(np.linspace(0, np.pi, 400001))
+        for t in targets:
+            c = np.asarray(t.coefficients)
+            fine = np.fft.rfft(c, 800000).real
+            l1 = float(np.sum(np.abs(c)))
+            spot = np.polynomial.chebyshev.chebval(xs[::997], c)
+            assert np.max(np.abs(fine[::997] - spot)) <= 1e-15 * (t.degree + 1) ** 2 * l1
+            fine_max = float(np.max(np.abs(fine)))
+            slack = (t.degree + 1) * 1e-14 * l1  # the bound's, once for each evaluation
+            assert max(fine_max, t.sup_norm(), t.sup_norm(4001)) <= t.sup_bound, t.degree
+            assert t.sup_bound <= fine_max / math.cos(math.pi / 8) + 2 * slack, t.degree
+
+    def test_near_the_margin_the_sample_still_decides(self):
+        # targets whose bound cannot decide: sampled sups from 0.93 to just
+        # above 1, so each check falls back to the 2,001-point sample and
+        # must decide as a check on the sample alone does
+        cases = [bounded_random_target(np.random.default_rng(seed), 121, 1.0).coefficients
+                 for seed in range(38, 46)]
+        cases = [np.asarray(c) * s for c in cases for s in (0.93, 0.998, 0.9995, 1.0, 1 + 2e-9)]
+        cases += [_inverse_target(*args)[0].coefficients
+                  for args, _ in TestInverseTarget.FITS[-2:]]
+        fell_back = 0
+        for c in cases:
+            sup = float(np.max(np.abs(
+                np.polynomial.chebyshev.chebval(np.linspace(-1, 1, 2001), c))))
+            if sup > 1 + 1e-9:
+                with pytest.raises(ValueError, match="unit bound"):
+                    TargetPolynomial.chebyshev(c)
+                continue
+            t = TargetPolynomial.chebyshev(c)
+            fell_back += t.sup_bound > 1 - qsvt._MARGIN
+            rescale = (1 - qsvt._MARGIN) / sup if sup > 1 - qsvt._MARGIN else 1.0
+            assert SingularValueTransform(be.Increment(2), t)._rescale == rescale
+            # no iteration: the margin check raises ValueError, else the residual is too big
+            with pytest.raises(ValueError if sup > 1 - qsvt._MARGIN else PhaseSolverError):
+                solve_phases.__wrapped__(t, max_iterations=0)
+        assert fell_back >= 20  # of 34 built: most reach the sample, so it is the fallback checked
 
     def test_trailing_zeros_trimmed(self):
         t = TargetPolynomial.chebyshev([0.3, 0.0, 0.2, 0.0, 0.0])
@@ -433,16 +482,25 @@ def inverse_target_oracle(delta, eps, cap):
 
 class TestInverseTarget:
     # (delta, eps, cap) of the Laplace pseudoinverses at N=3..6, then a fit
-    # whose sampled sup is clamped to the margin
+    # whose sampled sup is clamped to the margin, then one whose bound (1.03)
+    # is above the clamp level but whose sample (0.983) is not
     FITS = [((0.0380602337443566, 0.01, 606), 223),
             ((0.009607359798384753, 0.01, 2471), 879),
             ((0.0024076366639015807, 0.01, 9931), 3509),
             ((0.0006022718974138171, 0.01, 39769), 13389),
-            ((0.0096, 1e-4, 4406), 1825)]
+            ((0.0096, 1e-4, 4406), 1825),
+            ((0.0380602337443566, 3e-4, 999), 403)]
 
     @pytest.mark.parametrize("args, degree", FITS)
-    def test_same_fit_as_a_full_check_at_every_degree(self, args, degree):
+    def test_same_fit_as_a_full_check_at_every_degree(self, args, degree, monkeypatch):
+        sizes = []
+        chebval = np.polynomial.chebyshev.chebval
+        monkeypatch.setattr(np.polynomial.chebyshev, "chebval",
+                            lambda x, c: sizes.append(np.size(x)) or chebval(x, c))
         target, comp = _inverse_target.__wrapped__(*args)
+        if args[1] == 0.01:  # the Laplace fits: the bound decides, nothing is sampled
+            assert not [k for k in sizes if k >= 2001]
+        monkeypatch.undo()
         want, want_comp = inverse_target_oracle(*args)
         assert target.degree == want.degree == degree
         assert target.coefficients == want.coefficients
@@ -462,9 +520,10 @@ class TestInverseTarget:
         _inverse_target.cache_clear()
         a_inv, _ = laplace_solution(4)
         assert a_inv.degree == 879 and a_inv._comp == 1.0
-        assert len([k for k in sizes if k >= 2001]) == 1
+        assert len([k for k in sizes if k >= 2001]) == 0
         assert a_inv._target.sup_norm() == float(
             np.max(np.abs(chebval(np.linspace(-1, 1, 2001), np.asarray(a_inv._target.coefficients)))))
+        assert len([k for k in sizes if k >= 2001]) == 1  # sampled when asked
 
 
 class TestPseudoinverse:
@@ -512,6 +571,10 @@ class TestPseudoinverse:
             be.Pseudoinverse(a, condition=0.5, tolerance=0.01)
         with pytest.raises(ValueError):
             be.Pseudoinverse(a, condition=2.0, tolerance=1.5)
+        # delta^2 underflows to 0 at 1e-300, and ln(4/eps) / delta^2 overflows at 1e-160
+        for delta in (1e-300, 1e-160):
+            with pytest.raises(ValueError, match="too small"):
+                be.Pseudoinverse(be.Increment(bits=2), condition=2.0, tolerance=0.05, delta=delta)
 
     def test_delta_override(self):
         a = be.Identity(dim=2)
