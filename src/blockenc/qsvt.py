@@ -54,6 +54,34 @@ def _sampled_sup(p, samples):
     return float(np.max(np.abs(p(xs))))
 
 
+def _sup_bound(c) -> float:
+    """An upper bound on max |p| over [-1, 1] for the Chebyshev series `c`
+    of degree d, computed without sampling.
+
+    One real FFT of length 2M gives p at the M + 1 Chebyshev extrema
+    cos(k pi / M), M the least power of two >= 4d, and the largest |p|
+    there times sec(d pi / 2M) <= sec(pi / 8) bounds |p| everywhere
+    (Ehlich & Zeller, Math. Z. 1964).  The slack covers rounding, with
+    u = 2^-53 and L = sum |c_j|.  A Clenshaw evaluation such as `chebval`
+    errs by at most 4 (d + 1)^2 u L to first order: its roundings at the
+    step of c_k amount to a change of c_k, and they are at most 4 u times
+    the partial sums sum_{j >= k} c_j U_{j-k}(x) of that step, which
+    |U_m| <= m + 1 on [-1, 1] bounds by (d + 1) L.  The FFT's values err by
+    at most 7 log2(2M) sqrt(2M) u L, the radix-2 bound (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 24) with
+    ||c||_2 <= L; numpy's mixed-radix FFT is taken to meet it, which the
+    tests check at x = 1 and -1.  The slack is twice the sum of the two,
+    so the bound is never below a sampled sup such as
+    `TargetPolynomial.sup_norm`."""
+    c = np.asarray(c, dtype=float)
+    d = len(c) - 1
+    m = 1 << (4 * d - 1).bit_length() if d else 1
+    extrema = np.fft.rfft(c, 2 * m).real
+    rounding = 4 * (d + 1) ** 2 + 7 * math.log2(2 * m) * math.sqrt(2 * m)
+    return (float(np.max(np.abs(extrema))) / math.cos(d * math.pi / (2 * m))
+            + 2 * rounding * 2.0 ** -53 * float(np.sum(np.abs(c))))
+
+
 @dataclass(frozen=True)
 class TargetPolynomial:
     """Real Chebyshev series with definite parity, bounded by 1 on [-1, 1]."""
@@ -109,20 +137,9 @@ class TargetPolynomial:
 
     @cached_property
     def sup_bound(self) -> float:
-        """An upper bound on max |p| over [-1, 1], computed without sampling.
-
-        One real FFT of length 2M gives p at the M + 1 Chebyshev extrema
-        cos(k pi / M), M the least power of two >= 4d, and the largest |p|
-        there times sec(d pi / 2M) <= sec(pi / 8) bounds |p| everywhere
-        (Ehlich & Zeller, Math. Z. 1964).  The slack (d + 1) 1e-14 sum |c_j|
-        covers the rounding of the FFT and of a Clenshaw evaluation, so the
-        bound is never below a sampled sup such as `sup_norm`."""
-        c = np.asarray(self.coefficients)
-        d = self.degree
-        m = 1 << (4 * d - 1).bit_length() if d else 1
-        extrema = np.fft.rfft(c, 2 * m).real
-        return (float(np.max(np.abs(extrema))) / math.cos(d * math.pi / (2 * m))
-                + (d + 1) * 1e-14 * float(np.sum(np.abs(c))))
+        """An upper bound on max |p| over [-1, 1], from one FFT and a
+        rounding slack (`_sup_bound`); no sampled sup exceeds it."""
+        return _sup_bound(self.coefficients)
 
     def _exceeds(self, level: float) -> bool:
         """Whether the default sample `sup_norm()` exceeds `level`: the bound
@@ -537,13 +554,13 @@ def _inverse_target(delta: float, eps: float, cap: int):
     rebuilt from its graph document does not fit its target again.
 
     The degree search runs the recurrence T_{j+1} = 2x T_j - T_{j-1} on a
-    2,001-point grid of [delta, 1] in three rotating buffers, and adds to
+    2,001-point grid of [delta, 1], writing T_{j+2} over T_j, and adds to
     the partial sum in place only at odd j, since the even coefficients are
     exactly zero.  Each odd degree is first tried at one witness point, the
     grid point where the last full check erred most (at first x = delta):
     if it misses there it misses the full check, and otherwise the full
     check decides, so the degree is the one a full check at every odd j
-    finds.  The clamp to 1 - 2 * `_MARGIN` reads the target's `sup_bound`
+    finds.  The clamp to 1 - 2 * `_MARGIN` reads the series' `_sup_bound`
     and evaluates the series on 4,001 points of [-1, 1] only when the bound
     is above the clamp level; the sample decides whether and by how much to
     clamp.
@@ -575,32 +592,28 @@ def _inverse_target(delta: float, eps: float, cap: int):
     grid = np.linspace(delta, 1.0, 2001)
     want = 0.5 * delta / grid
     two_x = 2 * grid
-    # T_j, T_{j+1} and a spare; `grid` itself is never overwritten
-    t_j, t_next, spare = np.ones_like(grid), grid.copy(), np.empty_like(grid)
-    partial, term = np.zeros_like(grid), np.empty_like(grid)
+    t_j, t_next = np.ones_like(grid), grid.copy()  # T_j and T_{j+1} on the grid
+    partial = np.zeros_like(grid)
     witness = 0  # where the last full check erred most
     degree = None
     for j in range(min(cap, n) + 1):
         if j % 2 == 1:
-            np.multiply(coefs[j], t_j, out=term)
-            np.add(partial, term, out=partial)
+            partial += coefs[j] * t_j
             if abs(partial[witness] - want[witness]) <= eps / 2:
-                np.subtract(partial, want, out=term)
-                err = np.abs(term, out=term)
+                err = np.abs(partial - want)
                 witness = int(np.argmax(err))
                 if err[witness] <= eps / 2:
                     degree = j
                     break
-        np.multiply(t_next, two_x, out=spare)
-        np.subtract(spare, t_j, out=spare)
-        t_j, t_next, spare = t_next, spare, t_j
+        np.subtract(t_next * two_x, t_j, out=t_j)  # T_{j+2}, over T_j
+        t_j, t_next = t_next, t_j
     if degree is None:
         raise PhaseSolverError(
             f"no odd degree within the budget {cap} reaches accuracy {eps / 2:.2e}")
     c = coefs[: degree + 1].copy()
 
     level = 1 - 2 * _MARGIN
-    if TargetPolynomial(tuple(c), "odd").sup_bound > level:
+    if _sup_bound(c) > level:
         sup = float(np.max(np.abs(cheb.chebval(np.linspace(-1.0, 1.0, 4001), c))))
         if sup > level:
             c *= level / sup

@@ -112,24 +112,41 @@ class TestTargetPolynomial:
         # max |p| over the 400,001 points cos(linspace(0, pi)), by a length
         # 800,000 real FFT spot-checked against chebval (up to the rounding
         # of x, times slopes up to d^2); the bound lies between it (and the
-        # sampled sups) and sec(pi/8) times it
+        # sampled sups) and sec(pi/8) times it plus a slack under 1e-14 (d+1)^2 L
         rng = np.random.default_rng(42)
         degrees = [int(d) for d in rng.integers(0, 301, 40)] + [0, 1, 2, 3, 255, 256, 257, 300]
-        targets = [bounded_random_target(rng, d, 1.0) for d in degrees]
+        targets = [bounded_random_target(rng, d, 1.0) for d in degrees + [1001, 2048, 4000]]
         targets += [TargetPolynomial.chebyshev([0.0] * d + [1.0])
-                    for d in (0, 1, 2, 3, 64, 256, 300)]
+                    for d in (0, 1, 2, 3, 64, 256, 300, 4000)]
+        # one sign throughout, peaks at x = 1 and -1, where Clenshaw's
+        # partial sums are largest and the extrema and the samples meet
+        for d in (301, 2048, 4001):
+            same = np.zeros(d + 1)
+            same[d % 2::2] = 1 / (d // 2 + 1)
+            targets.append(TargetPolynomial.chebyshev(same))
         targets += [_inverse_target(*args)[0] for args, _ in TestInverseTarget.FITS]
         xs = np.cos(np.linspace(0, np.pi, 400001))
+        u = 2.0 ** -53
         for t in targets:
             c = np.asarray(t.coefficients)
             fine = np.fft.rfft(c, 800000).real
             l1 = float(np.sum(np.abs(c)))
             spot = np.polynomial.chebyshev.chebval(xs[::997], c)
             assert np.max(np.abs(fine[::997] - spot)) <= 1e-15 * (t.degree + 1) ** 2 * l1
+            # the two error terms of the slack, against exact sums at the
+            # extrema x = 1 and -1 (k = 0 and M): Clenshaw's and the FFT's
+            m = 1 << (4 * t.degree - 1).bit_length() if t.degree else 1
+            extrema = np.fft.rfft(c, 2 * m).real
+            for x, k, signs in ((1.0, 0, 1.0), (-1.0, m, (-1.0) ** np.arange(len(c)))):
+                exact = math.fsum(c * signs)
+                err = abs(float(np.polynomial.chebyshev.chebval(x, c)) - exact)
+                assert err <= 4 * (t.degree + 1) ** 2 * u * l1, t.degree
+                err = abs(extrema[k] - exact)
+                assert err <= 7 * math.log2(2 * m) * math.sqrt(2 * m) * u * l1, t.degree
             fine_max = float(np.max(np.abs(fine)))
-            slack = (t.degree + 1) * 1e-14 * l1  # the bound's, once for each evaluation
             assert max(fine_max, t.sup_norm(), t.sup_norm(4001)) <= t.sup_bound, t.degree
-            assert t.sup_bound <= fine_max / math.cos(math.pi / 8) + 2 * slack, t.degree
+            assert (t.sup_bound <= fine_max / math.cos(math.pi / 8)
+                    + 1e-14 * (t.degree + 1) ** 2 * l1), t.degree
 
     def test_near_the_margin_the_sample_still_decides(self):
         # targets whose bound cannot decide: sampled sups from 0.93 to just
