@@ -9,6 +9,7 @@ report).
 """
 from __future__ import annotations
 
+import math
 import operator
 from typing import Callable, NamedTuple
 
@@ -85,13 +86,15 @@ def _num_to_json(z: complex):
 
 
 def _real(v) -> float:
-    """A JSON number: an int or float, not a boolean."""
+    """A finite JSON number: an int or float, not a boolean, NaN or infinity."""
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         try:
-            return float(v)
-        except OverflowError:
-            pass
-    raise ValueError(f"not a real number: {v!r}")
+            x = float(v)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"not a finite real number: {v!r}")
 
 
 def _num_from_json(v) -> complex:
@@ -225,8 +228,8 @@ OPS: dict[str, Op] = {
         Field("rows", _slice, param=True, default=slice(None)),
         Field("cols", _slice, param=True, default=slice(None)))),
     "qsvt": Op(SingularValueTransform, args=1, build=_qsvt, fields=(
-        Field("chebyshev", write=lambda n: [float(c) for c in n.target.coefficients],
-              param=True),
+        Field("chebyshev", lambda v: [_real(c) for c in v],
+              lambda n: [float(c) for c in n.target.coefficients], param=True),
         Field("parity", write=lambda n: n.target.parity, param=True, default=None))),
     "pseudoinverse": Op(Pseudoinverse, args=1, fields=(
         Field("condition", _real, param=True), Field("tolerance", _real, param=True),

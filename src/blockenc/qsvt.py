@@ -35,7 +35,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .circuits import Gate, PhaseSequence, global_phase, h, inverted
 from .composites import Scale
-from .nodes import BudgetExceededError, Layout, Node, ProxyNode
+from .nodes import BudgetExceededError, Layout, Node, ProxyNode, get_budget
 from .subspaces import ScratchPool, membership_flip_gates
 
 _MARGIN = 1e-3
@@ -92,11 +92,14 @@ class TargetPolynomial:
     @classmethod
     def chebyshev(cls, coefficients, parity: str | None = None) -> "TargetPolynomial":
         """The target with these coefficients, trailing ones below 1e-14
-        trimmed, after checking parity and the unit bound.  The unit bound
-        reads `sup_bound` and samples `sup_norm` only when the bound is
-        above 1 + 1e-9, so it rejects exactly the targets whose default
-        sample exceeds 1 + 1e-9."""
+        trimmed, after checking that they are finite, their parity and the
+        unit bound.  The unit bound reads `sup_bound` and samples `sup_norm`
+        only when the bound is above 1 + 1e-9, so it rejects exactly the
+        targets whose default sample exceeds 1 + 1e-9."""
         c = np.asarray(coefficients, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            raise ValueError(f"coefficient {bad[0]} is not finite: {c[bad[0]]}")
         while len(c) > 1 and abs(c[-1]) <= 1e-14:
             c = c[:-1]
         d = len(c) - 1
@@ -530,87 +533,186 @@ class SingularValueTransform(Node):
                 f"parity={self.target.parity})")
 
 
-def _cheb_series(fn, n: int) -> np.ndarray:
-    """Chebyshev coefficients up to degree n from extrema samples (DCT-I)."""
-    k = np.arange(n + 1)
-    xs = np.cos(math.pi * k / n)
-    vals = np.asarray(fn(xs), dtype=float)
-    ext = np.concatenate([vals, vals[-2:0:-1]])
-    f = np.fft.rfft(ext).real[: n + 1] / n
-    f[0] /= 2
-    f[n] /= 2
-    return f
+def _window_exponent(delta: float, eps: float) -> int:
+    """The least b >= 1 with (1 - delta^2)^b <= eps / 4: the window
+    1 - (1 - x^2)^b then errs by at most eps / 8 at x = delta."""
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    if delta == 1.0:
+        return 1
+    gain = -math.log1p(-delta * delta)  # 0 once delta^2 underflows
+    b = math.log(4.0 / eps) / gain if gain else math.inf
+    if not math.isfinite(b):
+        raise ValueError(f"delta {delta} is too small: the window exponent "
+                         "ln(4/eps) / -ln(1 - delta^2) is not finite")
+    return max(1, math.ceil(b))
+
+
+def _central_binomial(b: int) -> float:
+    """C(2b, b) / 4^b: exact below b = 64, and from there its Stirling series
+    exp(-1/8b + 1/192b^3 - 1/640b^5 + 17/14336b^7) / sqrt(pi b), whose next
+    term is below 1e-19."""
+    if b < 64:
+        return math.comb(2 * b, b) / 4 ** b
+    y = 1.0 / b
+    return (math.exp(y * (-1 / 8 + y * y * (1 / 192 + y * y * (-1 / 640 + y * y * 17 / 14336))))
+            / (math.sqrt(math.pi) * math.sqrt(b)))
+
+
+def _window_series(delta: float, b: int, count: int) -> np.ndarray:
+    """The odd Chebyshev coefficients c_1, c_3, ..., c_{2 count - 1} of
+    delta/(2x) times the window 1 - (1 - x^2)^b, in closed form (Childs,
+    Kothari & Somma, SIAM J. Comput. 2017):
+
+        c_{2j+1} = 2 delta (-1)^j sum_{i > j} C(2b, b + i) / 4^b.
+
+    With r_i = C(2b, b + i) / C(2b, b), a cumulative product of the ratios
+    (b - i) / (b + i + 1), and half the binomials above the centre summing
+    to (1 - C(2b, b) / 4^b) / 2, the tail sum is that half less C(2b, b) / 4^b
+    times the cumulative sum of r_1..r_j.  The series ends at degree 2b - 1,
+    so the coefficients from j = b on are zero.  Each coefficient is the
+    same for every `count` that includes it."""
+    n = min(count, b)
+    central = _central_binomial(b)
+    bf = float(b)
+    k = np.arange(n - 1, dtype=float)
+    tails = np.zeros(count)
+    tails[1:n] = np.cumsum(np.cumprod((bf - k) / (bf + k + 1)))
+    tails[:n] = (1.0 - central) / 2 - central * tails[:n]
+    tails[1::2] *= -1
+    return tails * (2 * delta)
+
+
+# Complex entries of each power table of `_odd_series`.
+_TABLE = 1 << 11
+# Entries of the first witness table of `_inverse_target`.
+_WITNESS_TABLE = 1 << 16
+
+
+def _powers(x, n: int) -> np.ndarray:
+    """Rows x^0 .. x^(n-1), by doubling: row k + i is row i times x^k."""
+    out = np.empty((n, len(x)), dtype=complex)
+    out[0] = 1.0
+    k = 1
+    while k < n:
+        r = min(k, n - k)
+        np.multiply(out[:r], x if k == 1 else out[k - 1] * x, out=out[k:k + r])
+        k *= 2
+    return out
+
+
+def _odd_series(c, theta) -> np.ndarray:
+    """sum_m c_m cos((2m + 1) theta) at each angle theta, by baby steps and
+    giant steps: with w = exp(2i theta), B = ceil(sqrt(len(c))) and
+    m = g B + s, the sum is Re exp(i theta) sum_g (w^B)^g sum_s c_{gB+s} w^s.
+    Per chunk of angles the inner sums are one real (G x B) by complex
+    (B x angles) product against the powers of w, and each power table
+    holds at most max(`_TABLE`, 4 len(c)) entries.  The powers of w and of
+    exp(2iB theta) multiply up from their bases, so a term errs by about
+    B + G ulps."""
+    m = len(c)
+    b = math.isqrt(m - 1) + 1
+    g = -(-m // b)
+    coefs = np.zeros(g * b)
+    coefs[:m] = c
+    coefs = coefs.reshape(g, b)
+    out = np.empty(len(theta))
+    step = max(1, max(_TABLE, 4 * m) // max(b, g))
+    for lo in range(0, len(theta), step):
+        t = theta[lo:lo + step]
+        e1 = np.exp(1j * t)
+        inner = (coefs @ _powers(e1 * e1, b).view(float)).view(complex)  # G x angles
+        giant = _powers(np.exp((2j * b) * t), g)
+        giant *= inner
+        out[lo:lo + step] = (e1 * giant.sum(axis=0)).real
+    return out
+
+
+def _first_fit(odd, theta, want, tol: float, witnesses: list) -> int:
+    """The number of terms of the shortest partial sum of the odd series
+    `odd` within `tol` of `want` at every angle theta, or 0 if none is.
+
+    At the `witnesses` rows the partial sums of every length come from one
+    cosine table and one cumulative sum.  Only the first length that meets
+    `tol` at every witness is evaluated at every angle (`_odd_series`); if
+    it misses, its worst angle joins `witnesses` and the search goes on.  A
+    length that misses at a witness misses at every angle, so the length is
+    the one a full check of each length finds."""
+    j = np.arange(1, 2 * len(odd), 2)
+
+    def passes(rows):  # whether each length meets tol at every row
+        sums = np.outer(theta[rows], j)
+        np.cos(sums, out=sums)
+        sums *= odd
+        np.cumsum(sums, axis=1, out=sums)
+        sums -= want[rows, None]
+        return (np.abs(sums, out=sums) <= tol).all(axis=0)
+
+    ok = passes(witnesses)
+    m = 0  # terms of the last length checked in full
+    while ok[m:].any():
+        m += int(np.argmax(ok[m:])) + 1
+        err = np.abs(_odd_series(odd[:m], theta) - want)
+        worst = int(np.argmax(err))
+        if err[worst] <= tol:
+            return m
+        witnesses.append(worst)
+        ok &= passes([worst])
+    return 0
 
 
 @lru_cache(maxsize=64)
 def _inverse_target(delta: float, eps: float, cap: int):
     """Odd polynomial close to delta/(2x) on [delta, 1].
 
-    Chebyshev series of delta/(2x) times the even window 1 - (1 - x^2)^b
-    (which vanishes to second order at 0), truncated to the smallest odd
-    degree meeting eps/2 on [delta, 1].  Returns (target, compensation) where
-    compensation restores any clamping of the sup norm.  The last 64
-    distinct calls are cached, as in `solve_phases`, so a pseudoinverse
-    rebuilt from its graph document does not fit its target again.
+    The Chebyshev series of delta/(2x) times the even window
+    1 - (1 - x^2)^b (which vanishes to second order at 0), in closed form
+    (`_window_series`), truncated to the smallest odd degree at most `cap`
+    whose partial sum is within eps/2 of delta/(2x) at every point of a
+    2,001-point grid of [delta, 1] (`_first_fit`).  Returns (target,
+    compensation) where compensation restores any clamping of the sup norm.
+    The last 64 distinct calls are cached, as in `solve_phases`, so a
+    pseudoinverse rebuilt from its graph document does not fit its target
+    again.
 
-    The degree search runs the recurrence T_{j+1} = 2x T_j - T_{j-1} on a
-    2,001-point grid of [delta, 1], writing T_{j+2} over T_j, and adds to
-    the partial sum in place only at odd j, since the even coefficients are
-    exactly zero.  Each odd degree is first tried at one witness point, the
-    grid point where the last full check erred most (at first x = delta):
-    if it misses there it misses the full check, and otherwise the full
-    check decides, so the degree is the one a full check at every odd j
-    finds.  The clamp to 1 - 2 * `_MARGIN` reads the series' `_sup_bound`
-    and evaluates the series on 4,001 points of [-1, 1] only when the bound
-    is above the clamp level; the sample decides whether and by how much to
+    The cost follows the degree found, not `cap`.  Coefficients are computed
+    up to a horizon that starts near 2 sqrt(b ln(4/eps)), where the binomial
+    weights r_i ~ exp(-i^2 / b) fall below eps/4, and doubles towards the cap
+    and the series' own degree 2b - 1 until a degree passes.  The first
+    witnesses are the first grid points, where the fits' error peaks (near
+    x = 5/m for m odd terms at eps = 0.01): as many as fit in
+    `_WITNESS_TABLE` cosines, at least 2 and at most 32.  A horizon of more
+    than the amplitude budget's count of coefficients raises
+    `BudgetExceededError`.
+
+    The clamp to 1 - 2 * `_MARGIN` reads the series' `_sup_bound` and
+    evaluates the series on 4,001 points of [-1, 1] only when the bound is
+    above the clamp level; the sample decides whether and by how much to
     clamp.
     """
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if delta == 1.0:
-        b = 1
-    else:
-        gain = -math.log1p(-delta * delta)  # 0 once delta^2 underflows
-        b = math.log(4.0 / eps) / gain if gain else math.inf
-        if not math.isfinite(b):
-            raise ValueError(f"delta {delta} is too small: the window exponent "
-                             "ln(4/eps) / -ln(1 - delta^2) is not finite")
-        b = max(1, math.ceil(b))
-
-    def f(xs):
-        xs = np.asarray(xs, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            window = 1.0 - np.exp(b * np.log1p(-np.minimum(xs * xs, 1.0)))
-        safe = np.where(np.abs(xs) < 1e-300, 1.0, xs)
-        out = 0.5 * delta * window / safe
-        return np.where(np.abs(xs) < 1e-300, 0.0, out)
-
-    n = 1 << max(10, (2 * cap - 1).bit_length())
-    coefs = _cheb_series(f, n)
-    coefs[0::2] = 0.0  # enforce odd parity exactly
-
+    b = _window_exponent(delta, eps)
+    top = min((cap + 1) // 2, b)  # odd degrees up to the cap and up to 2b - 1
+    most = get_budget().max_amplitudes
+    count = min(top, most, math.ceil(math.sqrt(b) * math.sqrt(math.log(4.0 / eps))) + 1)
     grid = np.linspace(delta, 1.0, 2001)
     want = 0.5 * delta / grid
-    two_x = 2 * grid
-    t_j, t_next = np.ones_like(grid), grid.copy()  # T_j and T_{j+1} on the grid
-    partial = np.zeros_like(grid)
-    witness = 0  # where the last full check erred most
-    degree = None
-    for j in range(min(cap, n) + 1):
-        if j % 2 == 1:
-            partial += coefs[j] * t_j
-            if abs(partial[witness] - want[witness]) <= eps / 2:
-                err = np.abs(partial - want)
-                witness = int(np.argmax(err))
-                if err[witness] <= eps / 2:
-                    degree = j
-                    break
-        np.subtract(t_next * two_x, t_j, out=t_j)  # T_{j+2}, over T_j
-        t_j, t_next = t_next, t_j
-    if degree is None:
-        raise PhaseSolverError(
-            f"no odd degree within the budget {cap} reaches accuracy {eps / 2:.2e}")
-    c = coefs[: degree + 1].copy()
+    theta = np.arccos(grid)
+    witnesses = list(range(min(32, max(2, _WITNESS_TABLE // count))))
+    while True:
+        odd = _window_series(delta, b, count)
+        m = _first_fit(odd, theta, want, eps / 2, witnesses)
+        if m:
+            break
+        if count == top:
+            raise PhaseSolverError(f"no odd degree within the budget {cap} "
+                                   f"reaches accuracy {eps / 2:.2e}")
+        if count == most:
+            raise BudgetExceededError(
+                f"the inverse fit needs more than {most} odd coefficients "
+                f"(degree {2 * most - 1}), over the amplitude budget")
+        count = min(top, most, 2 * count)
+    c = np.zeros(2 * m)
+    c[1::2] = odd[:m]
 
     level = 1 - 2 * _MARGIN
     if _sup_bound(c) > level:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,7 +105,16 @@ class TestVerify:
                      {"op": "pseudoinverse", "args": [INC],
                       "params": {"condition": 2, "tolerance": 0.05, "delta": 1e-300}},
                      {"op": "pseudoinverse", "args": [INC],
-                      "params": {"condition": 2, "tolerance": 0.05, "delta": 1e-160}}]:
+                      "params": {"condition": 2, "tolerance": 0.05, "delta": 1e-160}},
+                     # non-finite and non-numeric JSON numbers
+                     {"op": "scale", "args": [QFT], "params": {"factor": math.nan}},
+                     {"op": "constant_vector", "entries": [1.0, math.inf]},
+                     {"op": "qsvt", "args": [INC], "params": {"chebyshev": [0, math.nan]}},
+                     {"op": "qsvt", "args": [INC], "params": {"chebyshev": [0, "0.5"]}},
+                     {"op": "qsvt", "args": [INC], "params": {"chebyshev": [False, True]}},
+                     {"op": "qsvt", "args": [INC], "params": {"chebyshev": [[0, 0.5]]}},
+                     {"op": "pseudoinverse", "args": [INC],
+                      "params": {"condition": math.inf, "tolerance": 0.05}}]:
             p.write_text(json.dumps({"version": 1, "root": root}))
             rc, _, err = run(capsys, "verify", str(p))
             assert rc == 2 and err.startswith(f"error: {p}: bad fields for op {root['op']!r}: ")
@@ -198,6 +208,27 @@ class TestDemos:
         conv, _ = demo_convolution()
         assert np.max(np.abs(node.toarray() - conv.toarray())) <= 1e-12
         assert node.resources() == conv.resources()
+
+    @pytest.mark.parametrize("condition", [2, 1e12])
+    def test_out_of_reach_fit_is_one_error_line(self, tmp_path, capsys, condition):
+        # delta = 1e-150 needs a degree near 1e151: the degree cap ends the
+        # search at condition 2, and the amplitude budget at condition 1e12
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps({"version": 1, "root": {
+            "op": "pseudoinverse", "args": [INC],
+            "params": {"condition": condition, "tolerance": 0.05, "delta": 1e-150}}}))
+        rc, out, err = run(capsys, "estimate", str(p))
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("condition", [1e5, 1e12])
+    def test_unitary_pseudoinverse_estimates_at_any_condition(self, tmp_path, capsys, condition):
+        p = tmp_path / "unitary.json"
+        p.write_text(json.dumps({"version": 1, "root": {
+            "op": "pseudoinverse", "args": [INC],
+            "params": {"condition": condition, "tolerance": 0.05}}}))
+        rc, out, _ = run(capsys, "estimate", str(p))
+        assert rc == 0 and json.loads(out)["gate_counts"]
 
     def test_unreachable_fit_is_a_usage_error(self):
         # the fit raises PhaseSolverError: no odd degree within the budget

@@ -14,7 +14,6 @@ from blockenc.qsvt import (
     PhaseSolverError,
     SingularValueTransform,
     TargetPolynomial,
-    _cheb_series,
     _chebyshev_at_nodes,
     _inverse_target,
     _node_top_row,
@@ -88,6 +87,11 @@ class TestTargetPolynomial:
         assert t.parity == "odd" and t.degree == 3
         with pytest.raises(ValueError):
             TargetPolynomial.chebyshev([0.2, 0.5, 0.0, 0.3])
+
+    def test_non_finite_coefficients_rejected(self):
+        for c in ([0.0, math.nan], [0.0, math.inf, 0.0, 0.1], [-math.inf]):
+            with pytest.raises(ValueError, match="not finite"):
+                TargetPolynomial.chebyshev(c)
 
     def test_unit_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -456,6 +460,18 @@ class TestSingularValueTransformNode:
                 t, np.array([1.0]))
 
 
+def _cheb_series(fn, n: int) -> np.ndarray:
+    """Chebyshev coefficients up to degree n from extrema samples (DCT-I)."""
+    k = np.arange(n + 1)
+    xs = np.cos(math.pi * k / n)
+    vals = np.asarray(fn(xs), dtype=float)
+    ext = np.concatenate([vals, vals[-2:0:-1]])
+    f = np.fft.rfft(ext).real[: n + 1] / n
+    f[0] /= 2
+    f[n] /= 2
+    return f
+
+
 class TestChebyshevSeriesHelper:
     def test_matches_numpy_interpolation(self):
         fn = lambda x: np.exp(x) * np.sin(3 * x)
@@ -464,11 +480,11 @@ class TestChebyshevSeriesHelper:
         assert np.max(np.abs(mine - ref)) < 1e-12
 
 
-def inverse_target_oracle(delta, eps, cap):
-    """`_inverse_target` with the plain search: the partial sum gains every
-    term, zero coefficients included, each odd degree is checked on the
-    whole grid, and the target samples itself for its sup."""
-    b = 1 if delta == 1.0 else max(1, math.ceil(math.log(4.0 / eps) / -math.log1p(-delta * delta)))
+def sampled_window_series(delta, eps, cap):
+    """The window series delta (1 - (1 - x^2)^b) / (2x) by a DCT of 2^k >= 2 cap
+    extrema samples, its even coefficients zeroed: the fit's coefficients
+    before the closed form."""
+    b = qsvt._window_exponent(delta, eps)
 
     def f(xs):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -476,14 +492,23 @@ def inverse_target_oracle(delta, eps, cap):
         safe = np.where(np.abs(xs) < 1e-300, 1.0, xs)
         return np.where(np.abs(xs) < 1e-300, 0.0, 0.5 * delta * window / safe)
 
-    n = 1 << max(10, (2 * cap - 1).bit_length())
-    coefs = _cheb_series(f, n)
+    coefs = _cheb_series(f, 1 << max(10, (2 * cap - 1).bit_length()))
     coefs[0::2] = 0.0
+    return coefs
+
+
+def inverse_target_oracle(delta, eps, cap):
+    """`_inverse_target` with the plain search: the closed-form coefficients
+    up to the cap, the partial sum gains every term, zero coefficients
+    included, each odd degree is checked on the whole grid by the Chebyshev
+    recurrence, and the target samples itself for its sup."""
+    coefs = np.zeros(cap + 1)
+    coefs[1::2] = qsvt._window_series(delta, qsvt._window_exponent(delta, eps), (cap + 1) // 2)
     grid = np.linspace(delta, 1.0, 2001)
     want = 0.5 * delta / grid
     t_j, t_next = np.ones_like(grid), grid
     partial = np.zeros_like(grid)
-    for j in range(min(cap, n) + 1):
+    for j in range(cap + 1):
         partial = partial + coefs[j] * t_j
         if j % 2 == 1 and np.max(np.abs(partial - want)) <= eps / 2:
             break
@@ -525,6 +550,83 @@ class TestInverseTarget:
         assert (comp > 1) == (args[1] == 1e-4)  # only the last fit is clamped
         # the default sup is exactly the 2,001-point sample's
         assert target.sup_norm() == float(np.max(np.abs(target(np.linspace(-1, 1, 2001)))))
+
+    @pytest.mark.parametrize("args, limit", [(args, 1e-16) for args, _ in FITS]
+                             + [((0.000150590651897951, 0.01, 159122), 1e-15)])  # Laplace N=7
+    def test_closed_form_matches_the_sampled_series(self, args, limit):
+        ref = sampled_window_series(*args)
+        odd = qsvt._window_series(args[0], qsvt._window_exponent(*args[:2]), len(ref) // 2)
+        assert np.max(np.abs(odd - ref[1::2])) <= limit
+
+    def test_closed_form_of_short_windows(self):
+        # delta (1 - (1 - x^2)^b) / (2x) = (delta/2) sum_k C(b, k) (-1)^(k+1) x^(2k-1)
+        for b in (1, 2, 3, 6):
+            power = np.zeros(2 * b)
+            for k in range(1, b + 1):
+                power[2 * k - 1] = 0.35 * math.comb(b, k) * (-1) ** (k + 1)
+            want = np.polynomial.chebyshev.poly2cheb(power)[1::2]
+            assert np.max(np.abs(qsvt._window_series(0.7, b, b + 2)[:b] - want)) <= 1e-15
+
+    def test_each_coefficient_is_the_same_for_every_count(self):
+        b = qsvt._window_exponent(0.0024076366639015807, 0.01)
+        full = qsvt._window_series(0.0024076366639015807, b, 5000)
+        for count in (1, 2, 1755, 2489):
+            assert np.array_equal(qsvt._window_series(0.0024076366639015807, b, count),
+                                  full[:count])
+        # the series ends at degree 2b - 1
+        assert np.array_equal(qsvt._window_series(0.5, 3, 5)[3:], [0.0, 0.0])
+
+    def test_central_binomial_is_exact_or_within_two_ulps(self):
+        for b in (1, 2, 63, 64, 65, 100, 1000, 4133):
+            exact = math.comb(2 * b, b) / 4 ** b
+            assert abs(qsvt._central_binomial(b) - exact) <= 2 * math.ulp(exact)
+
+    @pytest.mark.parametrize("n, degree", [(7, 53551), (8, 137343)])
+    def test_laplace_degrees_at_n7_and_n8(self, n, degree):
+        a_inv, _ = laplace_solution(n)
+        assert a_inv.degree == degree and a_inv._comp == 1.0
+
+    @pytest.mark.parametrize("fit, limit", [(FITS[0], 0.28e6), (FITS[1], 0.50e6),
+                                            (FITS[2], 2.00e6)])
+    def test_fit_memory_follows_the_degree(self, fit, limit):
+        tracemalloc.start()
+        try:
+            target, _ = _inverse_target.__wrapped__(*fit[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert target.degree == fit[1]
+        assert peak <= limit, peak
+
+    def test_unitary_block_fits_degree_1_at_any_condition(self):
+        for condition in (1e5, 1e12):
+            tracemalloc.start()
+            try:
+                node = be.Pseudoinverse(be.Increment(bits=2), condition=condition, tolerance=0.05)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert node.delta == 1.0 and node.degree == 1
+            assert peak < 2**20, (condition, peak)
+
+    def test_out_of_reach_fits_stop_at_the_cap_or_the_budget(self):
+        # delta = 1e-150 needs a degree near 1e151: the cap of condition 2
+        # ends the search, and the amplitude budget ends that of condition 1e12
+        old = be.get_budget()
+        try:
+            be.set_budget(be.Budget(max_amplitudes=1 << 12))
+            tracemalloc.start()
+            try:
+                for condition, error in ((2, PhaseSolverError), (1e12, be.BudgetExceededError)):
+                    cap = math.ceil(4 * condition * math.log(4.0 / 0.05))
+                    with pytest.raises(error):
+                        _inverse_target.__wrapped__(1e-150, 0.05, cap)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            be.set_budget(old)
+        assert peak < 2**20
 
     def test_default_grid_is_the_even_half_of_the_clamp_sample(self):
         assert np.array_equal(np.linspace(-1.0, 1.0, 4001)[::2], np.linspace(-1.0, 1.0, 2001))
