@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -83,6 +84,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CliError(f"--tol must be a finite number >= 0, got {args.tol}")
     node = _load_graph(args.graph)
     report = node.verify(args.tol)
     _emit({"pass": report.passed, "max_error": report.max_error,

@@ -49,11 +49,6 @@ class PhaseSolverError(RuntimeError):
         self.residual = residual
 
 
-def _sampled_sup(p, samples):
-    xs = np.linspace(-1.0, 1.0, samples)
-    return float(np.max(np.abs(p(xs))))
-
-
 def _sup_bound(c) -> float:
     """An upper bound on max |p| over [-1, 1] for the Chebyshev series `c`
     of degree d, computed without sampling.
@@ -82,6 +77,13 @@ def _sup_bound(c) -> float:
             + 2 * rounding * 2.0 ** -53 * float(np.sum(np.abs(c))))
 
 
+def _trimmed(c) -> np.ndarray:
+    """c without its trailing coefficients of magnitude at most 1e-14, the
+    first one always kept."""
+    big = np.flatnonzero(np.abs(c) > 1e-14)
+    return c[: big[-1] + 1 if big.size else 1]
+
+
 @dataclass(frozen=True)
 class TargetPolynomial:
     """Real Chebyshev series with definite parity, bounded by 1 on [-1, 1]."""
@@ -95,13 +97,14 @@ class TargetPolynomial:
         trimmed, after checking that they are finite, their parity and the
         unit bound.  The unit bound reads `sup_bound` and samples `sup_norm`
         only when the bound is above 1 + 1e-9, so it rejects exactly the
-        targets whose default sample exceeds 1 + 1e-9."""
+        targets whose sample exceeds 1 + 1e-9."""
         c = np.asarray(coefficients, dtype=float)
+        if not c.size:
+            raise ValueError("a target needs at least one coefficient")
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
             raise ValueError(f"coefficient {bad[0]} is not finite: {c[bad[0]]}")
-        while len(c) > 1 and abs(c[-1]) <= 1e-14:
-            c = c[:-1]
+        c = _trimmed(c)
         d = len(c) - 1
         detected = "even" if d % 2 == 0 else "odd"
         if parity is None:
@@ -126,17 +129,15 @@ class TargetPolynomial:
     def __call__(self, x):
         return cheb.chebval(x, np.asarray(self.coefficients))
 
-    def sup_norm(self, samples: int = 2001) -> float:
-        """Largest |p| over `samples` equispaced points of [-1, 1].  A sample
-        can miss a peak between its points; `sup_bound` cannot.  The default
-        sample is evaluated on first use, once per instance."""
-        if samples == 2001:
-            return self._default_sup
-        return _sampled_sup(self, samples)
+    def sup_norm(self) -> float:
+        """Largest |p| over 2,001 equispaced points of [-1, 1], evaluated on
+        first use, once per instance.  A sample can miss a peak between its
+        points; `sup_bound` cannot."""
+        return self._sampled_sup
 
     @cached_property
-    def _default_sup(self) -> float:
-        return _sampled_sup(self, 2001)
+    def _sampled_sup(self) -> float:
+        return float(np.max(np.abs(self(np.linspace(-1.0, 1.0, 2001)))))
 
     @cached_property
     def sup_bound(self) -> float:
@@ -145,7 +146,7 @@ class TargetPolynomial:
         return _sup_bound(self.coefficients)
 
     def _exceeds(self, level: float) -> bool:
-        """Whether the default sample `sup_norm()` exceeds `level`: the bound
+        """Whether the sample `sup_norm()` exceeds `level`: the bound
         decides without sampling when it is at most `level`."""
         return self.sup_bound > level and self.sup_norm() > level
 
@@ -410,23 +411,11 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     return PhaseVector(tuple(_symmetric_full(best_vars, d)), target.parity, best)
 
 
-# Entries of the largest temporary of `_at_singular_values`.
-_CHUNK = 1 << 20
-
-
 def _at_singular_values(target: TargetPolynomial, s) -> np.ndarray:
-    """The target at singular values s, clipped to [0, 1]: sum_j c_j
-    cos(j arccos s) over the coefficients of the target's parity, one matrix
-    product per chunk of values, each chunk's cosines at most `_CHUNK`
-    entries."""
-    j = np.arange(0 if target.parity == "even" else 1, target.degree + 1, 2)
-    c = np.asarray(target.coefficients)[j]
-    theta = np.arccos(np.clip(s, 0.0, 1.0))
-    out = np.empty(len(theta))
-    rows = max(1, _CHUNK // len(j))
-    for i in range(0, len(theta), rows):
-        out[i:i + rows] = np.cos(np.outer(theta[i:i + rows], j)) @ c
-    return out
+    """The target at singular values s, clipped to [0, 1], over the
+    coefficients of the target's parity (`_parity_series`)."""
+    c = np.asarray(target.coefficients)[target.parity == "odd"::2]
+    return _parity_series(c, np.arccos(np.clip(s, 0.0, 1.0)), target.parity)
 
 
 class SingularValueTransform(Node):
@@ -583,7 +572,7 @@ def _window_series(delta: float, b: int, count: int) -> np.ndarray:
     return tails * (2 * delta)
 
 
-# Complex entries of each power table of `_odd_series`.
+# Complex entries of each power table of `_parity_series`.
 _TABLE = 1 << 11
 # Entries of the first witness table of `_inverse_target`.
 _WITNESS_TABLE = 1 << 16
@@ -601,13 +590,15 @@ def _powers(x, n: int) -> np.ndarray:
     return out
 
 
-def _odd_series(c, theta) -> np.ndarray:
-    """sum_m c_m cos((2m + 1) theta) at each angle theta, by baby steps and
-    giant steps: with w = exp(2i theta), B = ceil(sqrt(len(c))) and
-    m = g B + s, the sum is Re exp(i theta) sum_g (w^B)^g sum_s c_{gB+s} w^s.
-    Per chunk of angles the inner sums are one real (G x B) by complex
-    (B x angles) product against the powers of w, and each power table
-    holds at most max(`_TABLE`, 4 len(c)) entries.  The powers of w and of
+def _parity_series(c, theta, parity: str) -> np.ndarray:
+    """The Chebyshev series of one parity, sum_m c_m cos((2m + p) theta) with
+    p = 1 if `parity` is "odd" and 0 if "even", at each angle theta, by baby
+    steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput. 1973):
+    with w = exp(2i theta), B = ceil(sqrt(len(c))) and m = g B + s, the sum
+    is Re exp(i p theta) sum_g (w^B)^g sum_s c_{gB+s} w^s.  Per chunk of
+    angles the inner sums are one real (G x B) by complex (B x angles)
+    product against the powers of w, and each power table holds at most
+    max(`_TABLE`, 4 len(c)) entries.  The powers of w and of
     exp(2iB theta) multiply up from their bases, so a term errs by about
     B + G ulps."""
     m = len(c)
@@ -624,7 +615,8 @@ def _odd_series(c, theta) -> np.ndarray:
         inner = (coefs @ _powers(e1 * e1, b).view(float)).view(complex)  # G x angles
         giant = _powers(np.exp((2j * b) * t), g)
         giant *= inner
-        out[lo:lo + step] = (e1 * giant.sum(axis=0)).real
+        total = giant.sum(axis=0)
+        out[lo:lo + step] = (e1 * total).real if parity == "odd" else total.real
     return out
 
 
@@ -634,7 +626,7 @@ def _first_fit(odd, theta, want, tol: float, witnesses: list) -> int:
 
     At the `witnesses` rows the partial sums of every length come from one
     cosine table and one cumulative sum.  Only the first length that meets
-    `tol` at every witness is evaluated at every angle (`_odd_series`); if
+    `tol` at every witness is evaluated at every angle (`_parity_series`); if
     it misses, its worst angle joins `witnesses` and the search goes on.  A
     length that misses at a witness misses at every angle, so the length is
     the one a full check of each length finds."""
@@ -652,7 +644,7 @@ def _first_fit(odd, theta, want, tol: float, witnesses: list) -> int:
     m = 0  # terms of the last length checked in full
     while ok[m:].any():
         m += int(np.argmax(ok[m:])) + 1
-        err = np.abs(_odd_series(odd[:m], theta) - want)
+        err = np.abs(_parity_series(odd[:m], theta, "odd") - want)
         worst = int(np.argmax(err))
         if err[worst] <= tol:
             return m
@@ -685,10 +677,13 @@ def _inverse_target(delta: float, eps: float, cap: int):
     than the amplitude budget's count of coefficients raises
     `BudgetExceededError`.
 
-    The clamp to 1 - 2 * `_MARGIN` reads the series' `_sup_bound` and
+    The clamp to 1 - 2 * `_MARGIN` reads the target's `sup_bound` and
     evaluates the series on 4,001 points of [-1, 1] only when the bound is
     above the clamp level; the sample decides whether and by how much to
-    clamp.
+    clamp.  The target is the one `TargetPolynomial.chebyshev` would build,
+    trailing coefficients trimmed, without its unit check: the clamp implies
+    it, since the 2,001-point sample is every other point of the 4,001, so
+    each fit computes one bound.
     """
     b = _window_exponent(delta, eps)
     top = min((cap + 1) // 2, b)  # odd degrees up to the cap and up to 2b - 1
@@ -713,14 +708,14 @@ def _inverse_target(delta: float, eps: float, cap: int):
         count = min(top, most, 2 * count)
     c = np.zeros(2 * m)
     c[1::2] = odd[:m]
+    target = TargetPolynomial(tuple(_trimmed(c)), "odd")
 
     level = 1 - 2 * _MARGIN
-    if _sup_bound(c) > level:
+    if target.sup_bound > level:
         sup = float(np.max(np.abs(cheb.chebval(np.linspace(-1.0, 1.0, 4001), c))))
         if sup > level:
-            c *= level / sup
-            return TargetPolynomial.chebyshev(c, "odd"), sup / level
-    return TargetPolynomial.chebyshev(c, "odd"), 1.0
+            return TargetPolynomial(tuple(_trimmed(c * (level / sup))), "odd"), sup / level
+    return target, 1.0
 
 
 class Pseudoinverse(ProxyNode):
@@ -750,6 +745,8 @@ class Pseudoinverse(ProxyNode):
                     "pass delta explicitly") from exc
             svals = np.linalg.svd(block, compute_uv=False)
             keep = svals[svals > 1e-12 * svals[0]]
+            if not keep.size:
+                raise ValueError("the block has no nonzero singular value")
             delta = min(float(keep[-1]), 1.0)  # block norms can round above 1
         self.delta = float(delta)
         self._target, self._comp = _inverse_target(self.delta, self.tolerance, math.ceil(cap))

@@ -113,11 +113,19 @@ class TestVerify:
                      {"op": "qsvt", "args": [INC], "params": {"chebyshev": [0, "0.5"]}},
                      {"op": "qsvt", "args": [INC], "params": {"chebyshev": [False, True]}},
                      {"op": "qsvt", "args": [INC], "params": {"chebyshev": [[0, 0.5]]}},
+                     {"op": "qsvt", "args": [INC], "params": {"chebyshev": []}},
                      {"op": "pseudoinverse", "args": [INC],
                       "params": {"condition": math.inf, "tolerance": 0.05}}]:
             p.write_text(json.dumps({"version": 1, "root": root}))
             rc, _, err = run(capsys, "verify", str(p))
             assert rc == 2 and err.startswith(f"error: {p}: bad fields for op {root['op']!r}: ")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        g = write_graph(tmp_path, be.Increment(2))
+        rc, out, err = run(capsys, "verify", g, f"--tol={tol}")
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --tol ")
 
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "verify", "/nonexistent/graph.json")

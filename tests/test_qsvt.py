@@ -97,6 +97,11 @@ class TestTargetPolynomial:
         with pytest.raises(ValueError):
             TargetPolynomial.chebyshev([0.0, 1.7])
 
+    def test_empty_coefficients_rejected(self):
+        for parity in (None, "even", "odd"):
+            with pytest.raises(ValueError, match="at least one coefficient"):
+                TargetPolynomial.chebyshev([], parity)
+
     def test_default_sup_norm_is_sampled_once(self, monkeypatch):
         calls = []
         call = TargetPolynomial.__call__
@@ -105,10 +110,9 @@ class TestTargetPolynomial:
         t = TargetPolynomial.chebyshev([0.0, 0.5, 0.0, 0.3])
         SingularValueTransform(be.Increment(2), t)
         assert len(calls) == 0  # the bound decides the unit check and the rescale
-        for samples in (2001, 101):
-            want = float(np.max(np.abs(call(t, np.linspace(-1, 1, samples)))))
-            assert t.sup_norm(samples) == t.sup_norm(samples) == want
-        assert len(calls) == 3  # the default sample once, 101 points twice
+        want = float(np.max(np.abs(call(t, np.linspace(-1, 1, 2001)))))
+        assert t.sup_norm() == t.sup_norm() == want
+        assert len(calls) == 1  # the sample once
         same = TargetPolynomial(t.coefficients, t.parity)
         assert same == t and hash(same) == hash(t)
 
@@ -148,7 +152,9 @@ class TestTargetPolynomial:
                 err = abs(extrema[k] - exact)
                 assert err <= 7 * math.log2(2 * m) * math.sqrt(2 * m) * u * l1, t.degree
             fine_max = float(np.max(np.abs(fine)))
-            assert max(fine_max, t.sup_norm(), t.sup_norm(4001)) <= t.sup_bound, t.degree
+            clamp_sample = float(np.max(np.abs(
+                np.polynomial.chebyshev.chebval(np.linspace(-1, 1, 4001), c))))
+            assert max(fine_max, t.sup_norm(), clamp_sample) <= t.sup_bound, t.degree
             assert (t.sup_bound <= fine_max / math.cos(math.pi / 8)
                     + 1e-14 * (t.degree + 1) ** 2 * l1), t.degree
 
@@ -444,17 +450,25 @@ class TestSingularValueTransformNode:
         want = (u[:, : len(s)] * t(s)) @ vh[: len(s), :]
         assert np.max(np.abs(node.toarray() - want)) < 1e-12
 
-    @pytest.mark.parametrize("chunk", [1 << 20, 7])
-    def test_target_at_singular_values_is_clenshaws(self, monkeypatch, chunk):
-        # the cosine products against `chebval`, at values in [0, 1] and on
-        # the Laplace N=4 inverse target (degree 879), in one chunk and in
-        # chunks of a few rows (one row at degree 879); 1e-13 is about 450
-        # units of rounding at |p| <= 1
-        monkeypatch.setattr(qsvt, "_CHUNK", chunk)
-        s = np.concatenate([np.random.default_rng(38).random(40), [0.0, 1.0]])
+    @pytest.mark.parametrize("table", [1 << 11, 1])
+    def test_target_at_singular_values_is_clenshaws(self, monkeypatch, table):
+        # baby-step/giant-step against `chebval`, at values in [0, 1], on
+        # both parities and on the Laplace N=4 and N=5 inverse targets
+        # (degrees 879 and 3,509), in chunks of the default power tables and
+        # of the least ones (4 len(c) entries, 83 and 167 angles at N=4 and
+        # N=5); 1e-13 is about 450 units of rounding at |p| <= 1
+        monkeypatch.setattr(qsvt, "_TABLE", table)
+        chunks = []
+        powers = qsvt._powers
+        monkeypatch.setattr(qsvt, "_powers", lambda x, n: chunks.append(len(x)) or powers(x, n))
+        s = np.concatenate([np.random.default_rng(38).random(400), [0.0, 1.0]])
         for t in (TargetPolynomial.chebyshev([0, 0.2, 0, 0.5 * 0.6]),
-                  TargetPolynomial.chebyshev([0.4, 0, 0.3]), laplace_solution(4)[0]._target):
+                  TargetPolynomial.chebyshev([0.4, 0, 0.3]), laplace_solution(4)[0]._target,
+                  _inverse_target(*TestInverseTarget.FITS[2][0])[0]):
+            chunks.clear()
             assert np.max(np.abs(qsvt._at_singular_values(t, s) - t(s))) <= 1e-13
+            if table == 1 or t.degree > 3:
+                assert len(chunks) > 2  # more than one chunk, two power tables each
             # a singular value past 1 by rounding is read at 1
             assert qsvt._at_singular_values(t, np.array([1 + 1e-15])) == qsvt._at_singular_values(
                 t, np.array([1.0]))
@@ -628,6 +642,20 @@ class TestInverseTarget:
             be.set_budget(old)
         assert peak < 2**20
 
+    @pytest.mark.parametrize("args", [args for args, _ in FITS]
+                             + [(0.000150590651897951, 0.01, 159122)])  # Laplace N=7
+    def test_each_fit_computes_one_bound(self, args, monkeypatch):
+        # the clamp reads the bound of the target that the fit returns, or
+        # of the target it clamps, and the unit check computes no other
+        calls = []
+        bound = qsvt._sup_bound
+        monkeypatch.setattr(qsvt, "_sup_bound", lambda c: calls.append(1) or bound(c))
+        target, comp = _inverse_target.__wrapped__(*args)
+        assert len(calls) == 1
+        if comp == 1.0:  # the bound is the returned target's, cached
+            assert target.sup_bound == bound(target.coefficients)
+            assert len(calls) == 1
+
     def test_default_grid_is_the_even_half_of_the_clamp_sample(self):
         assert np.array_equal(np.linspace(-1.0, 1.0, 4001)[::2], np.linspace(-1.0, 1.0, 2001))
 
@@ -649,6 +677,10 @@ class TestPseudoinverse:
     def test_identity(self):
         node = be.Pseudoinverse(be.Identity(dim=2), condition=1.0, tolerance=0.01)
         assert np.max(np.abs(node.toarray() - np.eye(2))) < 0.01
+
+    def test_zero_block_has_no_singular_value(self):
+        with pytest.raises(ValueError, match="no nonzero singular value"):
+            be.Pseudoinverse(be.ZeroMatrix(2, 2), condition=2, tolerance=0.05)
 
     def test_diagonal_block(self):
         a = be.Identity(dim=1) | be.Scale(0.5, be.Identity(dim=1))
