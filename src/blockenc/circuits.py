@@ -10,8 +10,9 @@ Lowering works on items.  An item is a `Gate`, a block (a tuple of items
 spliced in by reference, so a sequence that repeats a block d times holds d
 references to one tuple) or a `PhaseSequence`, the d + 1 phase steps of a
 singular value transformation as one item.  A phase sequence iterates as its
-parts, like a block; the first simulation, flatten or export that iterates
-it binds its d + 1 RZ gates, once.  `flatten`, `inverted` and `item_counts`
+parts, like a block; the first flatten or export that iterates it binds its
+d + 1 RZ gates, once, and a simulation reads its angles without binding
+them.  `flatten`, `inverted` and `item_counts`
 act on items, each distinct gate and block once, and count a phase sequence
 from its per-step parts, without its angles.  `Circuit` keeps its items: its
 `gates` is a read-only view whose length is counted from them, so no gate
@@ -44,10 +45,19 @@ sequence's parts.  The transition of a block, a phase sequence, or a gate
 that repeats at the top level or among a phase sequence's parts (as its
 `occurrences` count them) is memoized per interned live set; a block's own
 gates run as they come.  Positions are memoized per live set, controls and
-target bit, so the QSVT sequence, whose live set saturates after a few
-phase steps, keeps a few arrays of at most |live| entries whatever its
-degree; each phase step's RZ is a multiply at those shared positions by
-that step's factors.
+target bit.
+
+A phase sequence is planned once.  Its steps are walked one by one until
+its live set saturates, which takes a few steps; from there each pair of
+steps repeats the same plan steps with new angles, and one loop step runs
+the rest.  The loop cuts the fixed part between two RZs in the middle, and
+each turn, from the middle of one block through an RZ to the middle of the
+next, is composed once, entry by entry, into a row-sparse product on the L
+live rows: r source rows and coefficients per row, the coefficients linear
+in the step's two RZ factors.  A turn is fused only if r is at most the
+number of plan steps it replaces; otherwise its steps run as they are, the
+RZ as one multiply by the step's factors.  So the plan's time and arrays
+grow with the distinct parts, not with the degree.
 """
 from __future__ import annotations
 
@@ -193,9 +203,9 @@ class PhaseSequence:
     controls of `rotation` (an RZ without an angle), `flip` again and the
     unmark.  Only the RZ differs between steps, so the sequence is counted,
     relabelled and inverted by its parts, without its angles.  Iterating it
-    yields its parts in order, so it flattens, exports and simulates like a
-    block; the first iteration calls `angles` and binds one RZ `Gate` per
-    step, once."""
+    yields its parts in order, so it flattens and exports like a block; the
+    first iteration calls `angles` and binds one RZ `Gate` per step, once.
+    The simulator plans it from its parts and `angles`, binding no gate."""
 
     def __init__(self, blocks, marks, flip, rotation, angles, degree):
         self.blocks = blocks  # (block of the even steps, block of the odd steps)
@@ -533,6 +543,160 @@ class _Reorder(NamedTuple):
         rows[:len(self.order)] = rows[self.order]
 
 
+class _Turn(NamedTuple):
+    """The fixed steps `before`, a phase step's RZ and the fixed steps
+    `after`, on the first n rows of the compact state.  The RZ is one
+    multiply of each row by the entry of its factors (1, the factor of
+    target bit 0, that of target bit 1) that its class picks: 0 where the
+    rotation's controls fail, else 1 + the target bit."""
+
+    before: tuple
+    classes: np.ndarray  # (n, 1)
+    after: tuple
+
+    def prepared(self, factors):
+        """What `run` takes for each row of `factors`."""
+        return factors
+
+    def run(self, c, rows, factors):
+        for step in self.before:
+            step.run(c, rows)
+        c[:len(self.classes)] *= factors.take(self.classes)
+        for step in self.after:
+            step.run(c, rows)
+
+
+class _FusedTurn(NamedTuple):
+    """A `_Turn` as one row-sparse product: row i becomes the sum over j of
+    coef[j, i] times row sources[j, i].  The coefficients of a phase step
+    are its factors at `used` dotted with `parts`, the coefficients of each
+    factor (1, the RZ factor of target bit 0, of target bit 1) in use."""
+
+    sources: np.ndarray  # (r, n)
+    parts: np.ndarray  # (factors in use, r * n)
+    used: list  # the factors in use
+    shape: tuple  # (r, n, 1)
+
+    def prepared(self, factors):
+        return factors[:, self.used]
+
+    def run(self, c, rows, factors):
+        g = c.take(self.sources, axis=0)
+        g *= np.dot(factors, self.parts).reshape(self.shape)
+        np.add.reduce(g, 0, None, c[:self.shape[1]])
+
+
+class _Loop(NamedTuple):
+    """The phase steps of a phase sequence once its live set has saturated,
+    from an odd step on.  It runs `head`, the first odd segment up to its
+    cut, then each phase step but the last as the turn of its parity (the
+    rest of its segment, its RZ and the next segment up to its cut), with
+    its row of `factors`, and `last`, the rest of the last phase step."""
+
+    head: tuple
+    turns: tuple  # (turn of the even steps, of the odd steps)
+    factors: tuple  # (factors of the even turns, of the odd turns)
+    last: tuple
+
+    def run(self, c, rows):
+        for step in self.head:
+            step.run(c, rows)
+        (even, odd), (even_factors, odd_factors) = self.turns, self.factors
+        for a, b in zip(odd_factors, even_factors):
+            odd.run(c, rows, a)
+            even.run(c, rows, b)
+        if len(odd_factors) > len(even_factors):
+            odd.run(c, rows, odd_factors[-1])
+        for step in self.last:
+            step.run(c, rows)
+
+
+def _turn(before, classes, after):
+    """The `_Turn` of `before`, an RZ with `classes` and `after`, fused into
+    a `_FusedTurn` if its steps are all `_Pairs`, `_Scale` and `_Reorder`
+    and no row needs more entries than the steps it replaces.  The product
+    is composed on its rows, row i as entries of source row src[j, i] with
+    coefficients val[j, i], one per factor (of 1, then after the RZ of each
+    class of rows), so no n x n array is built."""
+    turn = _Turn(before, classes, after)
+    steps = before + after
+    if not all(type(s) in (_Pairs, _Scale, _Reorder) for s in steps):
+        return turn
+    n = len(classes)
+    present = np.bincount(classes[:, 0], minlength=3).nonzero()[0]
+    most = len(steps) + np.count_nonzero(present)  # the RZ is a step per class but 0
+    src, val = _composed(before, np.arange(n)[None], np.ones((1, n, 1), dtype=complex), most)
+    if src is not None:  # each entry moves to the factor of its row's class
+        val = val * (classes == present)
+        src, val = _composed(after, src, val, most)
+    if src is None:
+        return turn
+    src, val = _padded(src, val)
+    if len(src) > most:
+        return turn
+    used = val.any(axis=(0, 1)).nonzero()[0]
+    parts = np.ascontiguousarray(val[..., used].transpose(2, 0, 1)).reshape(len(used), -1)
+    return _FusedTurn(src, parts, list(present[used]), (*src.shape, 1))
+
+
+def _composed(steps, src, val, most):
+    """The rows (src, val) of an operator after `steps` run on them, or
+    (None, None) once a row has more than `most` entries.  A `_Pairs`
+    doubles the entries of each row; they are merged once a row has more
+    than 4, which keeps the arrays small."""
+    n = src.shape[1]
+    for s in steps:
+        if type(s) is _Scale:
+            f = np.ones((n, 1), dtype=complex)
+            f[s.positions] = s.factor
+            val = val * f
+        elif type(s) is _Reorder:  # row order[i] moves to row i
+            src, val = src.take(s.order, axis=1), val.take(s.order, axis=1)
+        else:  # row i becomes keep[i] row i + gain[i] row partner[i]
+            (low, high), m = s.pairs, s.matrix
+            partner = np.arange(n)
+            partner[low], partner[high] = high, low
+            keep = np.ones((n, 1), dtype=complex)
+            keep[low], keep[high] = m[0, 0], m[1, 1]
+            gain = np.zeros((n, 1), dtype=complex)
+            gain[low], gain[high] = m[0, 1], m[1, 0]
+            src = np.concatenate((src, src.take(partner, axis=1)))
+            val = np.concatenate((val * keep, val.take(partner, axis=1) * gain))
+            if len(src) > 4:
+                src, val = _padded(src, val)
+                if len(src) > most:
+                    return None, None
+    return src, val
+
+
+def _padded(src, val):
+    """The rows (src, val) with the entries of one source summed, zero sums
+    dropped and each row's entries first, padded to the longest row by
+    entries that read their own row, times 0."""
+    n, parts = src.shape[1], val.shape[2]
+    at = (np.arange(n) * n + src).ravel()  # row, then source
+    order = at.argsort(kind="stable")
+    at = at.take(order)
+    first = np.concatenate(([True], at[1:] != at[:-1])).nonzero()[0]
+    total = np.add.reduceat(val.reshape(-1, parts).take(order, axis=0), first)
+    nonzero = total[:, 0] != 0
+    for j in range(1, parts):
+        nonzero |= total[:, j] != 0
+    keep = nonzero.nonzero()[0]
+    at, total = at.take(first.take(keep)), total.take(keep, axis=0)
+    row = at // n
+    counts = np.bincount(row, minlength=n)
+    r = int(counts.max())
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out_src = np.tile(np.arange(n), (r, 1))
+    out_val = np.zeros((r, n, parts), dtype=complex)
+    where = slot * n + row
+    out_src.put(where, at % n)
+    entry = f"V{total.itemsize * parts}"  # an entry's coefficients as one item
+    out_val.reshape(-1, parts).view(entry).put(where, total.view(entry))
+    return out_src, out_val
+
+
 class _Plan(NamedTuple):
     """The steps of a circuit on one input live set: the compact state holds
     the amplitude of basis label `live_in[i]`, then `live_out[i]`, at row i."""
@@ -592,9 +756,9 @@ class _Planner:
     same set is moved back to that one by a `_Reorder` step, so a run
     repeated any number of times keeps one arrangement per live set.
     Positions of diagonal and matrix gates are memoized by the live key, the
-    controls and the target bit, so the distinct RZ gates of a QSVT sequence
-    share them.  A live array that
-    no memo needs is never interned."""
+    controls and the target bit, so the RZs of a phase sequence's steps
+    share them.  A live array that no memo needs is never interned.  A phase
+    sequence is walked by `sequence`."""
 
     def __init__(self, n, live):
         self.dim = 1 << n
@@ -621,14 +785,14 @@ class _Planner:
 
     def transition(self, it):
         """The steps of a block, a phase sequence or a repeated gate, memoized
-        by the live key.  A block's gates run as they come, and a phase
-        sequence's repeated parts by their transitions."""
+        by the live key.  A block's gates run as they come."""
         settle = self.settle() if self.key is None else ()
         start = self.key, id(it)
         hit = self.transitions.get(start)
         if hit is None:
             steps = (self.gate(it) if isinstance(it, Gate) else
-                     tuple(chain.from_iterable(self.walk(it, getattr(it, "repeated", ())))))
+                     self.sequence(it) if isinstance(it, PhaseSequence) else
+                     tuple(chain.from_iterable(self.walk(it, ()))))
             if self.key is None:
                 steps += self.settle()
             hit = self.transitions[start] = (self.key, self.live, steps)
@@ -669,16 +833,79 @@ class _Planner:
             where = self.where(mask, value)
             return (_Scale(where, cmath.exp(1j * g.param)),) if where is _ALL or len(where) else ()
         bit = 1 << g.targets[0]
-        if kind in _DIAGONAL_1Q:  # a multiply on each target value whose factor is not 1
-            steps = ()
-            for half, f in enumerate(_DIAGONAL_1Q[kind](g.param)):
-                if f != 1:
-                    where = self.where(mask | bit, value | half * bit)
-                    if len(where):
-                        steps += (_Scale(where, f),)
-            return steps
+        if kind in _DIAGONAL_1Q:
+            return self.diagonal(mask, value, bit, _DIAGONAL_1Q[kind](g.param))
         pairs = self.pairs(mask, value, bit)
         return (_Pairs(pairs, _MATRIX_1Q[kind](g.param)),) if pairs.shape[1] else ()
+
+    def diagonal(self, mask, value, bit, factors):
+        """A multiply on each target value whose factor is not 1."""
+        steps = ()
+        for half, f in enumerate(factors):
+            if f != 1:
+                where = self.where(mask | bit, value | half * bit)
+                if len(where):
+                    steps += (_Scale(where, f),)
+        return steps
+
+    def sequence(self, ps):
+        """The steps of a phase sequence.  Between the RZs of steps k - 1 and
+        k runs the segment of parity k % 2 (flip, unmark, block, mark, flip).
+        The steps are walked one by one until a period, an odd segment and
+        an even one, starts and ends on one interned live set.  From there
+        each period repeats the same steps with new angles, so one `_Loop`
+        runs that period and the rest, and the plan grows with the distinct
+        parts, not with the degree."""
+        d, repeated = ps.degree, ps.repeated
+        (mark0, unmark0), (mark1, unmark1) = ps.marks
+        segments = ((ps.flip, unmark1, ps.blocks[0], mark0, ps.flip),
+                    (ps.flip, unmark0, ps.blocks[1], mark1, ps.flip))
+        rz = _condition(ps.rotation.controls) + (1 << ps.rotation.targets[0],)
+        half = 0.5 * np.asarray(ps.angles(), dtype=float)
+        factors = np.stack((np.ones(d + 1), np.exp(-1j * half), np.exp(1j * half)), axis=1)
+        steps = list(self.walk((mark0, ps.flip), repeated))
+        steps.append(self.diagonal(*rz, factors[0, 1:]))
+        start = None  # (key, live, steps so far) at the start of the last odd segment
+        last = [None, None]  # (steps, key, live) of the last segment of each parity
+        for k in range(1, d + 1):
+            p = k % 2
+            if p:
+                if start is not None and self.key == start[0] and self.live is start[1]:
+                    del steps[start[2]:]
+                    steps.append((self.loop(last, factors[k - 2:], rz),))
+                    break
+                start = (self.key, self.live, len(steps)) if self.key is not None else None
+            seg = tuple(chain.from_iterable(self.walk(segments[p], repeated)))
+            last[p] = seg, self.key, self.live
+            steps += (seg, self.diagonal(*rz, factors[k, 1:]))
+        steps += self.walk((ps.flip, ps.marks[d % 2][1]), repeated)
+        return tuple(chain.from_iterable(steps))
+
+    def loop(self, last, factors, rz):
+        """The `_Loop` of the phase steps with `factors` from the period of
+        `last`, the last segment of each parity.  Each segment is cut in the
+        middle: a block encoding's circuit mostly undoes its start at its
+        end, so from the middle of one block through an RZ to the middle of
+        the next, few rows mix.  It leaves the planner after the last step."""
+        mask, value, bit = rz
+        n = len(self.live)
+        head, tail, classes = [], [], []
+        for seg, key, live in last:
+            self.key, self.live, self.stale = key, live, True
+            cls = np.zeros((n, 1), dtype=np.intp)
+            for half in (0, 1):
+                cls[self.where(mask | bit, value | half * bit)] = 1 + half
+            cut = len(seg) // 2
+            head.append(seg[:cut])
+            tail.append(seg[cut:])
+            classes.append(cls)
+        turns = tuple(_turn(tail[p], classes[p], head[1 - p]) for p in (0, 1))
+        p = len(factors) % 2  # the parity of the last step, as the first is odd
+        _, self.key, self.live = last[p]
+        self.stale = True
+        return _Loop(head[1], turns, (turns[0].prepared(factors[1:-1:2]),
+                                      turns[1].prepared(factors[:-1:2])),
+                     tail[p] + self.diagonal(*rz, factors[-1, 1:]))
 
     def where(self, mask, value):
         """The positions of the live labels x with x & mask == value."""

@@ -34,6 +34,14 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are `CliError`s, so that `main`
+    reports them as it reports every usage error: one `error: ` line."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _load_graph(path: str) -> Node:
     try:
         with open(path) as fh:
@@ -213,7 +221,7 @@ def cmd_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="be", description="block-encoding graphs: evaluate, verify, estimate, export")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -252,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, ValueError, BudgetExceededError, PhaseSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

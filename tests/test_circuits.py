@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from blockenc.circuits import (
+    _ALL,
     KINDS,
     Circuit,
     Gate,
     UnsupportedGateError,
+    _FusedTurn,
+    _Pairs,
+    _Reorder,
+    _Scale,
+    _Turn,
+    _turn,
     flatten,
     global_phase,
     h,
@@ -373,6 +380,58 @@ class TestReference:
         assert_matches_reference_on(circ, second)
         assert only_plan(circ) is not plan and list(only_plan(circ).live_in) == [1]
         assert_matches_reference_on(circ, first)  # rebuilt, still right
+
+
+class TestFusedTurn:
+    """`_turn` fuses fixed steps, an RZ by row classes and fixed steps into one
+    row-sparse product when no row needs more entries than the steps it
+    replaces; otherwise the turn runs its steps."""
+
+    EVEN, ODD = np.arange(0, 8, 2), np.arange(1, 8, 2)
+
+    @staticmethod
+    def assert_fused_runs_as_its_steps(fused, steps, seed):
+        # two rows past the turn's eight, which join the live set later and
+        # are 0 until then
+        rng = np.random.default_rng(seed)
+        factors = np.array([1, *np.exp([-0.35j, 0.35j])])
+        for cols in (1, 3):
+            c = np.zeros((10, cols), dtype=complex)
+            c[:8] = rng.standard_normal((8, cols)) + 1j * rng.standard_normal((8, cols))
+            want = c.copy()
+            steps.run(want, want.view(f"V{want.itemsize * cols}").reshape(-1), factors)
+            coef = fused.prepared(factors[None])[0]
+            fused.run(c, c.view(f"V{c.itemsize * cols}").reshape(-1), coef)
+            assert np.max(np.abs(c - want)) <= 1e-14
+
+    def test_a_turn_whose_ends_undo_each_other_is_fused(self):
+        # RY, a phase and a reorder, an RZ on two classes, then the reorder,
+        # the phase and the RY undone: each row reaches at most two rows
+        angle = 0.7
+        m = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        order = np.array([1, 0, 3, 2, 5, 4, 7, 6])
+        before = (_Pairs(np.stack((self.EVEN, self.ODD)), m), _Scale(np.array([2, 5]), -1j),
+                  _Reorder(order))
+        after = (_Reorder(order), _Scale(np.array([2, 5]), 1j), _Pairs(np.stack((self.EVEN, self.ODD)), m.T),
+                 _Scale(_ALL, np.exp(0.4j)))
+        classes = np.array([[1], [2], [0], [1], [2], [2], [0], [1]])
+        fused = _turn(before, classes, after)
+        assert isinstance(fused, _FusedTurn) and fused.sources.shape == (2, 8)
+        self.assert_fused_runs_as_its_steps(fused, _Turn(before, classes, after), 0)
+
+    def test_a_turn_with_too_many_entries_a_row_runs_its_steps(self):
+        # two matrices on different bits around an RZ on no row: a row
+        # reaches four rows, more than the two steps
+        m = np.array([[0.6, -0.8], [0.8, 0.6]])
+        before = (_Pairs(np.stack((self.EVEN, self.ODD)), m),)
+        after = (_Pairs(np.array([[0, 1, 4, 5], [2, 3, 6, 7]]), m),)
+        classes = np.zeros((8, 1), dtype=np.intp)
+        assert isinstance(_turn(before, classes, after), _Turn)
+        # with two more steps each row may take four entries
+        longer = after + (_Scale(np.array([3]), -1), _Scale(np.array([0, 6]), 1j))
+        fused = _turn(before, classes, longer)
+        assert isinstance(fused, _FusedTurn) and fused.sources.shape == (4, 8)
+        self.assert_fused_runs_as_its_steps(fused, _Turn(before, classes, longer), 1)
 
 
 class TestUnitarity:

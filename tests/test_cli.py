@@ -127,6 +127,18 @@ class TestVerify:
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: --tol ")
 
+    @pytest.mark.parametrize("argv", [["verify", "GRAPH", "--tol", "abc"],
+                                      ["demo", "laplace", "--N", "x"],
+                                      ["verify", "GRAPH", "--tol", "-inf"]],
+                             ids=["tol-abc", "N-x", "tol-minus-inf"])
+    def test_argument_errors_are_one_error_line(self, tmp_path, capsys, argv):
+        # errors argparse finds take the shape of every other usage error;
+        # "--tol -inf" reads as a flag with its value missing
+        g = write_graph(tmp_path, be.Increment(2))
+        rc, out, err = run(capsys, *(g if a == "GRAPH" else a for a in argv))
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: argument --")
+
     def test_missing_file(self, capsys):
         rc, _, err = run(capsys, "verify", "/nonexistent/graph.json")
         assert rc == 2

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
 import blockenc as be
 from blockenc import graphs, qsvt
-from blockenc.circuits import Circuit, Gate, PhaseSequence, flatten
+from blockenc.circuits import Circuit, Gate, PhaseSequence, _FusedTurn, _Loop, _Turn, flatten
 from blockenc.nodes import ProxyNode
 from blockenc.qsvt import (
     _LEAF,
@@ -801,21 +802,35 @@ class TestLaplaceSimulation:
     def test_index_arrays_do_not_grow_with_the_degree(self):
         # one register at two tolerances, so two degrees (N=3: 223 and 353,
         # N=4: 879 and 1,395): after a few phase steps the live set stops
-        # growing and each phase step reuses the positions of the last, so
-        # the plan keeps the same arrays whatever the degree, none longer
-        # than the live set of 2^(N+4) rows
+        # growing and one loop runs the rest, so the plan keeps the same
+        # index arrays whatever the degree, none longer than the live set of
+        # 2^(N+4) rows
         for n, most in ((3, 55), (4, 88)):
             counts = []
             for tolerance in (0.01, 0.001):
                 a_inv, solution = laplace_solution(n, tolerance)
                 solution.simulate(np.ones(1, dtype=complex))
                 plan = solution.circuit()._last_plan[1]
-                arrays = {id(s[0]): s[0] for steps in plan.steps for s in steps
-                          if isinstance(s[0], np.ndarray)}
-                assert max(a.size for a in arrays.values()) <= len(plan.live_out) <= 2 ** (n + 4)
+                arrays = {id(a): a for s in plan_steps(plan) for a in s
+                          if isinstance(a, np.ndarray) and a.dtype.kind == "i"}
+                assert max(max(a.shape) for a in arrays.values()) <= len(plan.live_out)
+                assert len(plan.live_out) <= 2 ** (n + 4)
                 counts.append((a_inv.degree, len(arrays)))
             (low, first), (high, second) = counts
             assert low < high and first == second <= most
+
+    def test_plan_steps_do_not_grow_with_the_degree(self):
+        counts = []
+        for tolerance in (0.01, 0.001):
+            a_inv, solution = laplace_solution(3, tolerance)
+            solution.simulate_norm()
+            plan = solution.circuit()._last_plan[1]
+            loops = [s for s in plan_steps(plan) if isinstance(s, _Loop)]
+            assert len(loops) == 1
+            assert all(isinstance(t, _FusedTurn) for t in loops[0].turns)
+            counts.append((a_inv.degree, len(plan_steps(plan))))
+        assert counts[0][0] == 223 and counts[1][0] == 353
+        assert counts[0][1] == counts[1][1]
 
     def test_n5_gates_are_counted_without_a_gate_tuple(self):
         # the flat tuple alone would take 4.2 MB
@@ -976,11 +991,12 @@ class TestStructuralLowering:
             assert len(from_items.gates) == length
             assert all(a is b for a, b in zip(from_items.gates, from_flat.gates, strict=True))
             assert solution.circuit().gates == from_items.gates
-            # the planner's one walk over items, blocks and phase sequences
-            # simulates bit for bit as its walk over the flat gates
+            # the planner's walk over items, blocks and phase sequences, whose
+            # saturated steps run as one loop, simulates as its walk over the
+            # flat gates, up to the summation order of the fused turns
             x = np.zeros(1 << from_items.n_qubits, dtype=complex)
             x[solution.subspace_in.enumerate_basis()] = 1
-            assert np.array_equal(from_items.apply(x), from_flat.apply(x))
+            assert np.max(np.abs(from_items.apply(x) - from_flat.apply(x))) <= 1e-12
 
     def test_circuit_adjoint_inverts_each_object_once(self):
         _, solution = laplace_solution(3)
@@ -989,6 +1005,107 @@ class TestStructuralLowering:
         assert adj.gates == tuple(g.inverse() for g in reversed(circ.gates))
         assert len({id(g) for g in adj.gates}) == len({id(g) for g in circ.gates})
         assert solution.adjoint().circuit().gates == adj.gates
+
+
+def plan_steps(plan):
+    """Every step of a plan, with the steps of each loop and of its turns."""
+    out = []
+
+    def visit(step):
+        out.append(step)
+        if isinstance(step, _Loop):
+            for s in chain(step.head, step.turns, step.last):
+                visit(s)
+        elif isinstance(step, _Turn):
+            for s in chain(step.before, step.after):
+                visit(s)
+
+    for s in chain.from_iterable(plan.steps):
+        visit(s)
+    return out
+
+
+class TestPhaseLoop:
+    """A circuit of items, whose phase sequences the planner runs as one loop
+    once their live set saturates, against the circuit of the same gates
+    flattened, whose plan knows no phase sequence."""
+
+    CHILD = staticmethod(lambda: 0.6 * be.Increment(2) + 0.3 * be.Identity(dim=4))
+    SMALL = [[0.5], [0, 0.5], [0.2, 0, 0.3], [0, 0.4, 0, 0.3], [0.1, 0, 0.2, 0, 0.3]]
+    ODD = [0, 0.3, 0, -0.2, 0, 0.1, 0, 0.15, 0, -0.1, 0, 0.1]  # degree 11
+    EVEN = [0.1, 0, 0.3, 0, -0.2, 0, 0.1, 0, 0.1, 0, -0.1]  # degree 10
+
+    @staticmethod
+    def inputs(circ, node, rng, whole=True):
+        """Three unit columns on every row (if `whole`), and three on the
+        node's input rows, one of which has a single nonzero row."""
+        dim = 1 << circ.n_qubits
+        rows = node.subspace_in.enumerate_basis()
+        partial = np.zeros((dim, 3), dtype=complex)
+        partial[rows] = rng.standard_normal((len(rows), 3)) + 1j * rng.standard_normal((len(rows), 3))
+        partial[rows[1:], 2] = 0
+        states = [partial]
+        if whole:
+            states.append(rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)))
+        return [x / np.linalg.norm(x, axis=0) for x in states]
+
+    def assert_loop_matches_flat(self, node, whole=True):
+        """The circuit of items within 1e-12 of its flattened circuit on
+        whole and partial live sets; the number of loops its plans hold."""
+        items, _, ancillas = node._structure
+        from_items = Circuit(node.main_qubits, ancillas, items)
+        from_flat = Circuit(node.main_qubits, ancillas, flatten(items))
+        loops = 0
+        for x in self.inputs(from_items, node, np.random.default_rng(0), whole):
+            assert np.max(np.abs(from_items.apply(x) - from_flat.apply(x))) <= 1e-12
+            loops += sum(isinstance(s, _Loop) for s in plan_steps(from_items._last_plan[1]))
+        return loops
+
+    def test_laplace_solution(self):
+        # every row of the N=4 register live would take the flat circuit
+        # 72,179 full-state gates
+        assert self.assert_loop_matches_flat(laplace_solution(3)[1]) == 2
+        assert self.assert_loop_matches_flat(laplace_solution(4)[1], whole=False) == 1
+
+    @pytest.mark.parametrize("coefficients", SMALL + [ODD, EVEN])
+    def test_svt_and_its_adjoint(self, coefficients):
+        svt = SingularValueTransform(self.CHILD(), TargetPolynomial.chebyshev(coefficients))
+        for node in (svt, svt.adjoint()):
+            self.assert_loop_matches_flat(node)
+
+    @pytest.mark.parametrize("coefficients", [[0, 0.4, 0, 0.3], ODD])
+    def test_svt_with_a_controlled_rotation(self, coefficients):
+        # as a selected term, every gate of the SVT (its RZ too) gains the
+        # selector control
+        svt = SingularValueTransform(self.CHILD(), TargetPolynomial.chebyshev(coefficients))
+        flagged = be.Scale(0.5, be.Identity(dim=4))
+        for node in (svt & be.Increment(1), svt | flagged, flagged | svt):
+            self.assert_loop_matches_flat(node)
+        items = chain.from_iterable(it if isinstance(it, tuple) else (it,)
+                                    for it in (svt | flagged)._structure[0])
+        assert any(isinstance(it, PhaseSequence) and it.rotation.controls for it in items)
+
+    def test_svt_of_an_svt(self):
+        inner = SingularValueTransform(self.CHILD(), TargetPolynomial.chebyshev(self.ODD))
+        outer = SingularValueTransform(inner, TargetPolynomial.chebyshev([0, 0.5, 0, 0.3, 0, 0.1]))
+        for node in (outer, outer.adjoint()):
+            assert self.assert_loop_matches_flat(node)
+
+    @pytest.mark.parametrize("coefficients", [[0.2, 0, 0.3, 0, 0.2], [0, 0.4, 0, 0.3], ODD, EVEN])
+    @pytest.mark.parametrize("rows, cols", [(slice(None, 2), slice(None)),
+                                            (slice(1, 4), slice(2, None))])
+    def test_svt_over_a_sliced_child(self, coefficients, rows, cols):
+        # the child's input and output sectors differ, so the two parities
+        # mark different sectors
+        child = self.CHILD()[rows, cols]
+        assert child.subspace_in != child.subspace_out
+        svt = SingularValueTransform(child, TargetPolynomial.chebyshev(coefficients))
+        for node in (svt, svt.adjoint()):
+            self.assert_loop_matches_flat(node)
+
+    def test_the_loop_runs_on_whole_and_partial_live_sets(self):
+        svt = SingularValueTransform(self.CHILD()[:2, :], TargetPolynomial.chebyshev(self.ODD))
+        assert self.assert_loop_matches_flat(svt) == 2
 
 
 def laplace_solution(n, tolerance=0.01):
