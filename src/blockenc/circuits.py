@@ -48,9 +48,8 @@ gates run as they come.  Positions are memoized per live set, controls and
 target bit.
 
 A phase sequence is planned once.  Its steps are walked one by one until
-its live set saturates, which takes a few steps; from there each pair of
-steps repeats the same plan steps with new angles, and one loop step runs
-the rest.  The loop cuts the fixed part between two RZs in the middle, and
+its live set stops growing; from there each pair of steps repeats the same
+plan steps with new angles, and one loop step runs the rest.  The loop cuts the fixed part between two RZs in the middle, and
 each turn, from the middle of one block through an RZ to the middle of the
 next, is composed once, entry by entry, into a row-sparse product on the L
 live rows: r source rows and coefficients per row, the coefficients linear
@@ -555,15 +554,21 @@ class _Turn(NamedTuple):
     after: tuple
 
     def prepared(self, factors):
-        """What `run` takes for each row of `factors`."""
+        """The argument of the bound turn for each row of `factors`."""
         return factors
 
-    def run(self, c, rows, factors):
-        for step in self.before:
-            step.run(c, rows)
-        c[:len(self.classes)] *= factors.take(self.classes)
-        for step in self.after:
-            step.run(c, rows)
+    def bind(self, c, rows):
+        """The function that runs the turn on compact state `c` (and its
+        `rows`) for one phase step."""
+        before, classes, after, live = self.before, self.classes, self.after, c[:len(self.classes)]
+
+        def run(factors):
+            for step in before:
+                step.run(c, rows)
+            np.multiply(live, factors.take(classes), out=live)
+            for step in after:
+                step.run(c, rows)
+        return run
 
 
 class _FusedTurn(NamedTuple):
@@ -580,10 +585,15 @@ class _FusedTurn(NamedTuple):
     def prepared(self, factors):
         return factors[:, self.used]
 
-    def run(self, c, rows, factors):
-        g = c.take(self.sources, axis=0)
-        g *= np.dot(factors, self.parts).reshape(self.shape)
-        np.add.reduce(g, 0, None, c[:self.shape[1]])
+    def bind(self, c, rows):
+        take, sources, parts, shape, live = c.take, self.sources, self.parts, self.shape, c[:self.shape[1]]
+        dot, add = np.dot, np.add.reduce
+
+        def run(factors):
+            g = take(sources, axis=0)
+            g *= dot(factors, parts).reshape(shape)
+            add(g, 0, None, live)
+        return run
 
 
 class _Loop(NamedTuple):
@@ -601,12 +611,13 @@ class _Loop(NamedTuple):
     def run(self, c, rows):
         for step in self.head:
             step.run(c, rows)
-        (even, odd), (even_factors, odd_factors) = self.turns, self.factors
+        even, odd = (turn.bind(c, rows) for turn in self.turns)
+        even_factors, odd_factors = self.factors
         for a, b in zip(odd_factors, even_factors):
-            odd.run(c, rows, a)
-            even.run(c, rows, b)
+            odd(a)
+            even(b)
         if len(odd_factors) > len(even_factors):
-            odd.run(c, rows, odd_factors[-1])
+            odd(odd_factors[-1])
         for step in self.last:
             step.run(c, rows)
 

@@ -399,9 +399,8 @@ class TestFusedTurn:
             c = np.zeros((10, cols), dtype=complex)
             c[:8] = rng.standard_normal((8, cols)) + 1j * rng.standard_normal((8, cols))
             want = c.copy()
-            steps.run(want, want.view(f"V{want.itemsize * cols}").reshape(-1), factors)
-            coef = fused.prepared(factors[None])[0]
-            fused.run(c, c.view(f"V{c.itemsize * cols}").reshape(-1), coef)
+            steps.bind(want, want.view(f"V{want.itemsize * cols}").reshape(-1))(factors)
+            fused.bind(c, c.view(f"V{c.itemsize * cols}").reshape(-1))(fused.prepared(factors[None])[0])
             assert np.max(np.abs(c - want)) <= 1e-14
 
     def test_a_turn_whose_ends_undo_each_other_is_fused(self):
