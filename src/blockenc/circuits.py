@@ -49,14 +49,15 @@ target bit.
 
 A phase sequence is planned once.  Its steps are walked one by one until
 its live set stops growing; from there each pair of steps repeats the same
-plan steps with new angles, and one loop step runs the rest.  The loop cuts the fixed part between two RZs in the middle, and
-each turn, from the middle of one block through an RZ to the middle of the
-next, is composed once, entry by entry, into a row-sparse product on the L
-live rows: r source rows and coefficients per row, the coefficients linear
-in the step's two RZ factors.  A turn is fused only if r is at most the
-number of plan steps it replaces; otherwise its steps run as they are, the
-RZ as one multiply by the step's factors.  So the plan's time and arrays
-grow with the distinct parts, not with the degree.
+plan steps with new angles, and one loop step runs the rest.  The loop
+cuts the fixed part between two RZs in the middle, and each turn, from the
+middle of one block through an RZ to the middle of the next, is composed
+once, entry by entry, into a row-sparse product on the L live rows: r
+source rows and coefficients per row, the coefficients linear in the
+step's two RZ factors.  A turn is fused only if r is at most the number of
+plan steps it replaces; otherwise its steps run as they are, the RZ as one
+multiply by the step's factors.  So the plan's time and arrays grow with
+the distinct parts, not with the degree.
 """
 from __future__ import annotations
 
@@ -586,8 +587,8 @@ class _FusedTurn(NamedTuple):
         return factors[:, self.used]
 
     def bind(self, c, rows):
-        take, sources, parts, shape, live = c.take, self.sources, self.parts, self.shape, c[:self.shape[1]]
-        dot, add = np.dot, np.add.reduce
+        take, dot, add = c.take, np.dot, np.add.reduce
+        sources, parts, shape, live = self.sources, self.parts, self.shape, c[:self.shape[1]]
 
         def run(factors):
             g = take(sources, axis=0)

@@ -400,7 +400,8 @@ class TestFusedTurn:
             c[:8] = rng.standard_normal((8, cols)) + 1j * rng.standard_normal((8, cols))
             want = c.copy()
             steps.bind(want, want.view(f"V{want.itemsize * cols}").reshape(-1))(factors)
-            fused.bind(c, c.view(f"V{c.itemsize * cols}").reshape(-1))(fused.prepared(factors[None])[0])
+            run = fused.bind(c, c.view(f"V{c.itemsize * cols}").reshape(-1))
+            run(fused.prepared(factors[None])[0])
             assert np.max(np.abs(c - want)) <= 1e-14
 
     def test_a_turn_whose_ends_undo_each_other_is_fused(self):
@@ -411,8 +412,8 @@ class TestFusedTurn:
         order = np.array([1, 0, 3, 2, 5, 4, 7, 6])
         before = (_Pairs(np.stack((self.EVEN, self.ODD)), m), _Scale(np.array([2, 5]), -1j),
                   _Reorder(order))
-        after = (_Reorder(order), _Scale(np.array([2, 5]), 1j), _Pairs(np.stack((self.EVEN, self.ODD)), m.T),
-                 _Scale(_ALL, np.exp(0.4j)))
+        after = (_Reorder(order), _Scale(np.array([2, 5]), 1j),
+                 _Pairs(np.stack((self.EVEN, self.ODD)), m.T), _Scale(_ALL, np.exp(0.4j)))
         classes = np.array([[1], [2], [0], [1], [2], [2], [0], [1]])
         fused = _turn(before, classes, after)
         assert isinstance(fused, _FusedTurn) and fused.sources.shape == (2, 8)

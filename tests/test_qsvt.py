@@ -1042,7 +1042,8 @@ class TestPhaseLoop:
         dim = 1 << circ.n_qubits
         rows = node.subspace_in.enumerate_basis()
         partial = np.zeros((dim, 3), dtype=complex)
-        partial[rows] = rng.standard_normal((len(rows), 3)) + 1j * rng.standard_normal((len(rows), 3))
+        shape = (len(rows), 3)
+        partial[rows] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         partial[rows[1:], 2] = 0
         states = [partial]
         if whole:
