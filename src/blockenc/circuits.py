@@ -581,14 +581,14 @@ class _FusedTurn(NamedTuple):
     sources: np.ndarray  # (r, n)
     parts: np.ndarray  # (factors in use, r * n)
     used: list  # the factors in use
-    shape: tuple  # (r, n, 1)
 
     def prepared(self, factors):
         return factors[:, self.used]
 
     def bind(self, c, rows):
         take, dot, add = c.take, np.dot, np.add.reduce
-        sources, parts, shape, live = self.sources, self.parts, self.shape, c[:self.shape[1]]
+        sources, parts, shape = self.sources, self.parts, (*self.sources.shape, 1)
+        live = c[:shape[1]]
 
         def run(factors):
             g = take(sources, axis=0)
@@ -648,7 +648,7 @@ def _turn(before, classes, after):
         return turn
     used = val.any(axis=(0, 1)).nonzero()[0]
     parts = np.ascontiguousarray(val[..., used].transpose(2, 0, 1)).reshape(len(used), -1)
-    return _FusedTurn(src, parts, list(present[used]), (*src.shape, 1))
+    return _FusedTurn(src, parts, list(present[used]))
 
 
 def _composed(steps, src, val, most):
