@@ -34,9 +34,29 @@ class CliError(Exception):
     pass
 
 
+class _Number:
+    """Matches a token that parses as a float.  argparse takes a token that
+    starts with `-` for a flag unless its pattern for negative numbers
+    matches, and that pattern knows only forms such as -1 and -.5, so
+    `--tol -1e-3` and `--tol -inf` would lose their values."""
+
+    @staticmethod
+    def match(token):
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are `CliError`s, so that `main`
-    reports them as it reports every usage error: one `error: ` line."""
+    reports them as it reports every usage error: one `error: ` line, and
+    that reads every number after an option as its value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _Number
 
     def error(self, message):
         raise CliError(message)

@@ -13,10 +13,13 @@ Phase solving (`solve_phases`) fits symmetric phases at Chebyshev nodes by a
 fixed-point iteration preconditioned with the Jacobian at zero phases, a DCT
 applied by one FFT, and accelerated by Anderson mixing (Walker & Ni, SIAM
 J. Numer. Anal. 2011).  Each iterate is evaluated on the first half of its
-symmetric sequence only: a product tree builds the coefficients of the half
-product's top row as Laurent polynomials in w = exp(i theta) (leaf blocks of
-steps advance together, then neighbouring blocks merge by FFT convolution),
-one FFT takes them to the nodes, and the second half follows in closed form.
+symmetric sequence only.  In the basis where W(x) is diag(w, 1/w),
+w = exp(i theta), every phase is a real rotation, so the half product's top
+row is two Laurent polynomials in w with real coefficients.  A product tree
+builds them: the steps are padded with pairs of pi/2 phases to a
+power-of-two count of equal leaf blocks, the blocks advance together, and
+each tree level merges neighbouring blocks from one real FFT.  One FFT
+takes the root to the nodes, and the second half follows in closed form.
 A pass costs O(d log^2 d), no array is larger than O(d), and no linear system
 is solved but a least-squares fit over at most 5 past steps.  The pointwise
 recurrence (`_top_row`) evaluates a sequence at arbitrary x for
@@ -203,9 +206,10 @@ def _symmetric_full(vars_, d):
     return full
 
 
-def _symmetric_compose(a, b, full, xs):
+def _symmetric_compose(a, b, full, xs, ys=None):
     """Top row (A, B) of a symmetric sequence (phi_j = phi_{d-j}) from the top
-    row (a, b) of its first half, phases 0..m with m = d // 2, at xs.
+    row (a, b) of its first half, phases 0..m with m = d // 2, at xs, given
+    ys = sqrt(1 - xs^2) or computing it.
 
     W(x) and exp(i phi Z) are symmetric matrices, so the second half of the
     product is the transpose of the first: U = P_m M P_m^T, M = W for odd d
@@ -213,86 +217,123 @@ def _symmetric_compose(a, b, full, xs):
     """
     d = len(full) - 1
     if d % 2:
-        c = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
-        return (xs * (a * a + b * b) + 2j * c * a * b,
-                xs * (a.conj() * b - a * b.conj()) + 1j * c * (abs(a) ** 2 - abs(b) ** 2))
+        if ys is None:
+            ys = np.sqrt(np.clip(1.0 - xs * xs, 0.0, None))
+        return (xs * (a * a + b * b) + 2j * ys * a * b,
+                xs * (a.conj() * b - a * b.conj()) + 1j * ys * (abs(a) ** 2 - abs(b) ** 2))
     e = cmath.exp(1j * full[d // 2])
     return (a * a * e.conjugate() + b * b * e,
             b * a.conj() * e - a * b.conj() * e.conjugate())
 
 
-# Steps per leaf block of the product tree.  Leaves cost no more time than
-# merging single steps, and every FFT level they save keeps |a|^2 + |b|^2
-# closer to 1 (about 6e-14 at degree 3000, against 2e-13 from single steps).
+# Steps per leaf block of the product tree.  A leaf step is two numpy calls
+# on every block at once, a tree level two FFTs and five products, and each
+# level the leaves save keeps |a|^2 + |b|^2 closer to 1: a symmetric
+# sequence of degree 3000 is within 5e-14 of it from 16-step leaves and
+# 8e-14 from 8-step ones.
 _LEAF = 16
 
 
-def _leaf_rows(e):
-    """Top rows of prod_j W exp(i phi_j Z) for each row of e = exp(i phi), as
-    coefficients: for n factors, a = w^-n sum_j a_j w^2j with w = exp(i theta),
-    and b alike.  Returns shape (2, blocks, n + 1), a then b.
+def _leaves(e):
+    """Rows of each block of steps, from e = exp(-i phi) of shape
+    (steps, blocks).
 
-    W = (w/2)[[1, 1], [1, 1]] + (1/2w)[[1, -1], [-1, 1]], so one factor maps
-    (a, b) to ((u w + v/w) e, (u w - v/w) / e) with u, v = (a +- b) / 2.
+    In the basis (1, 1), (i, -i) the step W(x) exp(i phi Z) is D R with
+    D = diag(w, 1/w), w = exp(i theta), and the real rotation
+    R = [[cos phi, -sin phi], [sin phi, cos phi]], so the top row of a
+    product of n steps is (p, q) with p = w^-n sum_{j=1..n} p_j w^2j and
+    real p_j (the coefficient of w^-n is zero from the first step on), and
+    q alike.  A step maps p_j, q_j to the real and imaginary parts of
+    (p_{j-1} + i q_j) exp(-i phi): z holds those sums, so a step moves the
+    real parts up one place and multiplies, while the first entry of z
+    stays zero and the second starts as the empty product's 1.
+
+    Returns p_n..p_1 and q_n..q_1, shape (2, blocks, n): reversed, the
+    largest coefficient of a step near the identity comes first, where
+    the FFTs of `_merge` carry it without rounding.
     """
-    blocks, n = e.shape
-    a, b = rows = np.zeros((2, blocks, n + 1), dtype=complex)
-    a[:, 0] = 1.0
-    half = 0.5 * e[:, :, None]
-    for s in range(n):  # columns past s are still zero
-        u = a[:, : s + 1] + b[:, : s + 1]
-        v = a[:, : s + 1] - b[:, : s + 1]
-        es, ec = half[:, s], half[:, s].conj()
-        a[:, : s + 1] = v * es
-        a[:, 1 : s + 2] += u * es
-        b[:, : s + 1] = v * -ec
-        b[:, 1 : s + 2] += u * ec
-    return rows
+    steps, blocks = e.shape
+    z = np.zeros((steps + 2, blocks), dtype=complex)
+    z[1] = 1.0
+    up, down = z.real[1:], z.real[:-1]
+    for col in e:
+        up[...] = down
+        z *= col
+    rows = z[:1:-1].T
+    return np.stack([rows.real, rows.imag])
 
 
-def _merge(left, right):
-    """Top rows of the products left[i] right[i], by FFT convolution.
+@lru_cache(maxsize=32)
+def _merge_signs(n):
+    """(-1, 1) times (-1)^f, f = 0..n: the reversal of a block's row in
+    `_merge`, and the sign of u1 u2^R."""
+    signs = np.ones(n + 1)
+    signs[1::2] = -1.0
+    out = np.stack([-signs, signs])[:, None]
+    out.flags.writeable = False
+    return out
 
-    In SU(2) the product of rows (a1, b1) and (a2, b2) is
-    (a1 a2 - b1 b2*, a1 b2 + b1 a2*), where p* is the conjugate on the unit
-    circle, the conjugated and reversed coefficient array.
+
+def _merge(rows):
+    """Rows of the products of neighbouring blocks, rows[:, 2i] times
+    rows[:, 2i + 1], from one real FFT of every block.
+
+    The second row of an SU(2) matrix with top row (p, q) is (-q^R, p^R),
+    where p^R(w) = p(1/w) has the coefficients reversed, so two rows
+    multiply to (p1 p2 - q1 q2^R, p1 q2 + q1 p2^R).  For the reversed
+    arrays s and u of `_leaves` that reads s = s1 s2 - z u1 u2^R and
+    u = s1 u2 + z u1 s2^R, with z one place up.  On blocks of n
+    coefficients and at FFT length 2n, z times a reversal is (-1)^f times
+    the conjugate, and the products fill exactly 2n, so nothing wraps
+    around.
     """
-    n1, n2 = left.shape[-1] - 1, right.shape[-1] - 1
-    # a power of two, at least n1 + n2 and longer than either operand
-    size = 1 << max(n1 + n2 - 1, n1, n2).bit_length()
-    fl = np.fft.fft(left, size)
-    fr = np.fft.fft(right, size)
-    # the transform of conj(p[::-1]) is conj(P) times a shift by n2
-    fs = fr.conj() * np.exp(-2j * math.pi / size * (n2 * np.arange(size) % size))
-    out = np.fft.ifft(np.stack([fl[0] * fr[0] - fl[1] * fs[1],
-                                fl[0] * fr[1] + fl[1] * fs[0]]))
-    if size == n1 + n2:  # the top coefficient wrapped onto the constant one
-        (a1, b1), (a2, b2) = left[..., -1], right[..., -1]
-        a0, b0 = right[..., 0].conj()
-        top = np.stack([a1 * a2 - b1 * b0, a1 * b2 + b1 * a0])
-        out[..., 0] -= top
-        return np.concatenate([out, top[..., None]], axis=-1)
-    return out[..., : n1 + n2 + 1]
+    n = rows.shape[-1]
+    f = np.fft.rfft(rows, 2 * n)
+    left, right = f[:, 0::2], f[:, 1::2]
+    out = left[0] * right
+    cross = right[::-1].conj()
+    cross *= _merge_signs(n)
+    cross *= left[1]
+    out += cross
+    return np.fft.irfft(out, 2 * n)
 
 
 def _row_coefficients(phases):
-    """Coefficients of the top row of exp(i phi_0 Z) prod_j W exp(i phi_j Z),
-    in the form of `_leaf_rows`, by a product tree: leaf blocks of `_LEAF`
-    factors advance together, then neighbouring blocks merge pairwise.  The
-    remainder block and, at each level with an odd count, the last block
-    join a tail that is merged in last."""
-    e = np.exp(1j * np.asarray(phases[1:], dtype=float))
-    blocks = len(e) // _LEAF
-    tail = _leaf_rows(e[blocks * _LEAF:][None, :])
-    rows = _leaf_rows(e[: blocks * _LEAF].reshape(blocks, _LEAF))
+    """The coefficients p_j + i q_j, j = 1..n, of the rows of `_leaves` for
+    prod_{j >= 1} W exp(i phi_j Z), n >= 1 steps.
+
+    The tree takes a power-of-two count of `_LEAF`-step blocks, so the
+    steps are padded at the start with pairs of pi/2 phases: since
+    W exp(i pi Z / 2) W exp(i pi Z / 2) = -I, each pair moves both rows up
+    one place and flips their sign, which the slice of the root and `sign`
+    undo.  The blocks advance together (`_leaves`) and each tree level is
+    one `_merge`; for odd n the last step is applied once, to the root.
+    """
+    n = len(phases) - 1
+    body = n - n % 2
+    blocks = 1 << (-(-body // _LEAF) - 1).bit_length() if body else 1
+    pairs = (blocks * _LEAF - body) // 2
+    sign = (-1) ** pairs
+    e = np.empty(blocks * _LEAF, dtype=complex)
+    e[: 2 * pairs] = -1j
+    np.exp(np.asarray(phases[1 : body + 1], dtype=float) * -1j, out=e[2 * pairs:])
+    rows = _leaves(e.reshape(blocks, _LEAF).T)
     while rows.shape[1] > 1:
-        if rows.shape[1] % 2:
-            tail = _merge(rows[:, -1:], tail)
-            rows = rows[:, :-1]
-        rows = _merge(rows[:, 0::2], rows[:, 1::2])
-    if blocks:
-        tail = _merge(rows, tail) if tail.shape[-1] > 1 else rows
-    return tail[:, 0] * cmath.exp(1j * phases[0])
+        rows = _merge(rows)
+    p, q = rows[:, 0, ::-1][:, pairs : pairs + body]
+    z = np.empty(n, dtype=complex)
+    if n == body:
+        np.multiply(p, sign, out=z.real)
+        np.multiply(q, sign, out=z.imag)
+        return z
+    # (p_{j-1} + i q_j) exp(-i phi_n), where p_0 is the padded empty
+    # product's sign
+    z.real[0] = 0.0 if body else sign
+    z.real[1:] = p
+    z.imag[:-1] = q
+    z.imag[-1] = 0.0
+    z *= sign * cmath.exp(-1j * phases[n])
+    return z
 
 
 def _nodes(k):
@@ -300,23 +341,62 @@ def _nodes(k):
     return np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (4 * k))
 
 
+@lru_cache(maxsize=8)
+def _node_arrays(k):
+    """The k Chebyshev nodes x and sqrt(1 - x^2), read-only."""
+    x = _nodes(k)
+    y = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
+
+
+@lru_cache(maxsize=8)
+def _node_twiddles(k, n):
+    """The twiddles of `_row_at_nodes` for n steps at k nodes, read-only:
+    exp(-i pi j / 2k) on coefficient j, and w_i^(2 - n) / 2 and its
+    conjugate at node i, w_i = exp(i theta_i)."""
+    turns = (2 - n) * (2 * np.arange(1, k + 1) - 1) % (8 * k)  # in units of pi / 4k
+    outer = 0.5 * np.exp(0.25j * math.pi / k * turns)
+    out = np.exp(-0.5j * math.pi / k * np.arange(n)), outer, outer.conj()
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _row_at_nodes(phases, k):
     """Top row (a, b) of a sequence of at most 2k - 1 signal steps at the k
-    Chebyshev nodes: with z = w^2 = exp(2i theta_i) the coefficients are a
-    polynomial in z, and z runs over the odd 4k-th roots of unity, so a
-    length-2k inverse FFT with a twiddle evaluates it."""
+    Chebyshev nodes.
+
+    The coefficients F of `_row_coefficients` make a polynomial in
+    z = w^2 = exp(2i theta_i), and z runs over the odd 4k-th roots of unity,
+    so one length-2k FFT with a twiddle gives F at the nodes and at their
+    conjugates.  p and q have real coefficients, so p + i q = w^(2-n) F(z)
+    and p - i q = w^(2-n) conj(F(conj z)), and back in the first basis
+    a = conj(X + Y) and b = X - Y, X = w^(2-n) F(z) / 2 and
+    Y = w^(n-2) F(conj z) / 2, times exp(i phi_0).
+    """
     n = len(phases) - 1
-    rows = _row_coefficients(phases)
-    j = np.arange(n + 1)
-    vals = np.fft.ifft(rows * np.exp(-0.5j * math.pi * j / k), 2 * k)[:, 1 : k + 1]
-    turns = n * (2 * np.arange(1, k + 1) - 1) % (8 * k)  # n theta_i in units of pi / 4k
-    return vals * (2 * k * np.exp(-0.25j * math.pi / k * turns))
+    front = cmath.exp(1j * phases[0])
+    if not n:
+        return np.full(k, front), np.zeros(k, dtype=complex)
+    z = _row_coefficients(phases)
+    inner, outer, outer_conj = _node_twiddles(k, n)
+    z *= inner
+    vals = np.fft.fft(z, 2 * k)
+    at_z = vals[: k - 1 : -1] * outer  # X
+    at_conj = vals[:k] * outer_conj  # Y
+    a = at_z + at_conj
+    np.conjugate(a, out=a)
+    a *= front
+    at_z -= at_conj
+    at_z *= front
+    return a, at_z
 
 
 def _node_top_row(full, k):
     """Top row (A, B) of a symmetric sequence at the k Chebyshev nodes."""
     a, b = _row_at_nodes(full[: (len(full) - 1) // 2 + 1], k)
-    return _symmetric_compose(a, b, full, _nodes(k))
+    return _symmetric_compose(a, b, full, *_node_arrays(k))
 
 
 def _chebyshev_at_nodes(c, k):
@@ -336,14 +416,15 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     pi/4 endpoint offsets) and a fixed-point iteration on the k free
     symmetric phases fitted at k nodes.  Each step is v <- v - J0^-1 r, with
     r = Re U_00 - f at the nodes and J0 the Jacobian at zero phases, a
-    DCT-IV (odd d) or DCT-II (even d) solved by one FFT; Anderson mixing over
-    the last 6 iterates accelerates it.  From the zero start the first step
-    is -c_{d-2j}/2 for reduced phase j (-c_0 for the middle phase of an even
-    target).  Each iterate is evaluated at the nodes by `_node_top_row`: a
-    product tree of FFT convolutions gives the coefficients of the first
-    half's top row, one length-2k FFT its values at the nodes, and the
-    symmetric composition the full row, so a pass costs O(d log^2 d) and
-    memory is O(d); the target at the nodes is one length-4k FFT.  The solve
+    DCT-IV (odd d) or DCT-II (even d) solved by one length-2k FFT; Anderson
+    mixing over the last 6 iterates accelerates it.  From the zero start the
+    first step is -c_{d-2j}/2 for reduced phase j (-c_0 for the middle phase
+    of an even target).  Each iterate is evaluated at the nodes by
+    `_node_top_row`: a product tree of real rotations and real FFT
+    convolutions gives the coefficients of the first half's top row, one
+    length-2k FFT its values at the nodes, and the symmetric composition the
+    full row, so a pass costs O(d log^2 d) and memory is O(d); the target at
+    the nodes is one length-4k FFT.  The solve
     stops at the tolerance, after `max_iterations` steps, or after 10 steps
     without a new best residual, and returns the best iterate.  Pure
     Chebyshev targets c*T_d are dispatched analytically.  The last 64
@@ -376,11 +457,14 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
     # DCT-IV (odd d) or DCT-II (even d) with C^T C = diag(k/2, ..., k for
     # n_j = 0), so J0 = -C diag(weight) has J0^-1 = -C^T / k, and (C^T r)_j is
     # the real part of exp(-i n_j pi / 4k) times the length-4k DFT of r at n_j.
+    # With n_j = 2m + d % 2 that is the length-2k DFT of
+    # r_i exp(-i pi (d % 2) i / 2k) at m = k - 1 - j.
     n = d - 2 * np.arange(k)
     twiddle = np.exp(-1j * math.pi * n / (4 * k)) / k
+    half = np.exp(-0.5j * math.pi * (d % 2) / k * np.arange(k))
 
     def step(r):  # -J0^-1 r
-        return (np.fft.rfft(r, 4 * k)[n] * twiddle).real
+        return (np.fft.fft(r * half, 2 * k)[k - 1 :: -1] * twiddle).real
 
     vars_, r = np.zeros(k), -fx  # the residual at the start is exact
     best_vars, best = vars_, float(np.max(np.abs(r)))

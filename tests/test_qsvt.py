@@ -363,16 +363,16 @@ class TestSolvePhases:
 
 
 class TestProductTree:
-    """The solver's evaluator: leaf blocks of `_LEAF` steps, pairwise merges
-    (an odd block out joins the tail), one FFT to the Chebyshev nodes."""
+    """The solver's evaluator: steps padded with pi/2 pairs to a power-of-two
+    count of `_LEAF`-step blocks, one merge per tree level, the last step of
+    an odd count applied to the root, one FFT to the Chebyshev nodes."""
 
-    @pytest.mark.parametrize("steps", [
-        0, 1, 2, _LEAF - 1, _LEAF, _LEAF + 1,
-        3 * _LEAF,             # an odd number of blocks
-        7 * _LEAF,             # odd counts at two merge levels (7, 3)
-        11 * _LEAF + 5,        # odd at 11 and 5, and a remainder block
-        23 * _LEAF + 9,        # odd at 23, 11 and 5, and a remainder block
-    ])
+    @pytest.mark.parametrize("steps", sorted(
+        set(range(5 * _LEAF + 1))  # every length up to five leaves
+        # each power-of-two block count, one step short and one over
+        | {_LEAF * 2 ** j + s for j in range(3, 8) for s in (-1, 0, 1)}
+        # lengths far below the next power of two, odd and even
+        | {7 * _LEAF, 11 * _LEAF + 5, 23 * _LEAF + 9}))
     def test_node_values_match_the_recurrence_on_every_tree_shape(self, steps):
         rng = np.random.default_rng(steps)
         for scale in (np.pi, 0.1):
@@ -382,6 +382,16 @@ class TestProductTree:
                 for g, w in zip(got, _top_row(phases, _nodes(k))):
                     assert np.max(np.abs(g - w)) < 1e-9, (steps, scale, k)
                 assert np.max(np.abs(abs(got[0]) ** 2 + abs(got[1]) ** 2 - 1)) <= 1e-13
+
+    def test_the_caches_of_the_tree_are_bounded(self):
+        caches = (qsvt._merge_signs, qsvt._node_arrays, qsvt._node_twiddles)
+        rng = np.random.default_rng(43)
+        for degree in (101, 3001):
+            solve_phases.__wrapped__(bounded_random_target(rng, degree, 0.5))
+            for cache in caches:
+                info = cache.cache_info()
+                assert isinstance(info.maxsize, int), cache
+                assert 0 < info.currsize <= info.maxsize, (cache, info)
 
     @pytest.mark.parametrize("d", [3000, 3001])
     def test_symmetric_sequence_at_the_nodes(self, d):
