@@ -229,6 +229,8 @@ def cmd_demo(args) -> int:
     if args.name == "increment":
         node, report = demo_increment()
     elif args.name == "laplace":
+        if args.N < 1:
+            raise CliError(f"--N must be >= 1, got {args.N}")
         node, report = demo_laplace(args.N, args.tolerance)
     elif args.name == "convolution":
         node, report = demo_convolution()

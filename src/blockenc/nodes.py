@@ -327,7 +327,8 @@ class Node:
 
     def info_efficiency(self) -> float:
         """Spectral norm of the encoded matrix over the normalization (<= 1)."""
-        return float(np.linalg.norm(self.toarray(), 2)) / self.normalization
+        # the largest singular value, as np.linalg.norm(a, 2) finds it, without its wrapping
+        return float(np.linalg.svd(self.toarray(), compute_uv=False)[0]) / self.normalization
 
     def resources(self) -> ResourceReport:
         """The report of `circuit()`, counted from `_structure` without building it."""

@@ -401,7 +401,7 @@ class TestFusedTurn:
             want = c.copy()
             steps.bind(want, want.view(f"V{want.itemsize * cols}").reshape(-1))(factors)
             run = fused.bind(c, c.view(f"V{c.itemsize * cols}").reshape(-1))
-            run(fused.prepared(factors[None])[0])
+            run(next(fused.arguments(factors[None])))
             assert np.max(np.abs(c - want)) <= 1e-14
 
     def test_a_turn_whose_ends_undo_each_other_is_fused(self):

@@ -231,6 +231,22 @@ class TestDemos:
         assert np.max(np.abs(node.toarray() - conv.toarray())) <= 1e-12
         assert node.resources() == conv.resources()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_register_size_must_be_positive(self, capsys, n):
+        rc, out, err = run(capsys, "demo", "laplace", "--N", n)
+        assert rc == 2 and out == ""
+        assert err == f"error: --N must be >= 1, got {n}\n"
+
+    @pytest.mark.parametrize("name", ["increment", "convolution"])
+    def test_demos_without_a_register_ignore_its_size(self, capsys, name):
+        rc, out, _ = run(capsys, "demo", name, "--N", "0")
+        assert rc == 0 and "estimate" in json.loads(out)
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_smallest_registers_run(self, capsys, n):
+        rc, out, _ = run(capsys, "demo", "laplace", "--N", n)
+        assert rc == 0 and json.loads(out)["relative_error"] <= 0.01
+
     @pytest.mark.parametrize("condition", [2, 1e12])
     def test_out_of_reach_fit_is_one_error_line(self, tmp_path, capsys, condition):
         # delta = 1e-150 needs a degree near 1e151: the degree cap ends the

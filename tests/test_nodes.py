@@ -180,6 +180,14 @@ class TestInfoEfficiency:
         assert abs(node.info_efficiency() - 1.0) < 1e-9
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_the_spectral_norm_bit_for_bit(self, seed):
+        pool, made = build_corpus(seed)
+        for node, _ in pool + made:
+            want = float(np.linalg.norm(node.toarray(), 2)) / node.normalization
+            assert node.info_efficiency() == want
+
+
 class TestSimulateNorm:
     def test_pythagorean(self):
         assert abs(be.ConstantVector([3.0, 4.0]).simulate_norm() - 5.0) < 1e-10

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import chain
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 import blockenc as be
-from blockenc import graphs, qsvt
+from blockenc import circuits, graphs, qsvt
 from blockenc.circuits import Circuit, Gate, PhaseSequence, _FusedTurn, _Loop, _Turn, flatten
 from blockenc.nodes import ProxyNode
 from blockenc.qsvt import (
@@ -1060,12 +1063,24 @@ class TestPhaseLoop:
             states.append(rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)))
         return [x / np.linalg.norm(x, axis=0) for x in states]
 
+    @staticmethod
+    def both_circuits(node):
+        """The circuit of the node's items and that of its flattened gates."""
+        items, _, ancillas = node._structure
+        return (Circuit(node.main_qubits, ancillas, items),
+                Circuit(node.main_qubits, ancillas, flatten(items)))
+
+    @staticmethod
+    def steps_looped(plan):
+        """The number of phase steps that each loop of a plan runs: one per
+        turn, and the last step."""
+        return [len(s.factors[0]) + len(s.factors[1]) + 1
+                for s in plan_steps(plan) if isinstance(s, _Loop)]
+
     def assert_loop_matches_flat(self, node, whole=True):
         """The circuit of items within 1e-12 of its flattened circuit on
         whole and partial live sets; the number of loops its plans hold."""
-        items, _, ancillas = node._structure
-        from_items = Circuit(node.main_qubits, ancillas, items)
-        from_flat = Circuit(node.main_qubits, ancillas, flatten(items))
+        from_items, from_flat = self.both_circuits(node)
         loops = 0
         for x in self.inputs(from_items, node, np.random.default_rng(0), whole):
             assert np.max(np.abs(from_items.apply(x) - from_flat.apply(x))) <= 1e-12
@@ -1117,6 +1132,79 @@ class TestPhaseLoop:
     def test_the_loop_runs_on_whole_and_partial_live_sets(self):
         svt = SingularValueTransform(self.CHILD()[:2, :], TargetPolynomial.chebyshev(self.ODD))
         assert self.assert_loop_matches_flat(svt) == 2
+
+    def test_a_loop_of_unfused_turns(self, monkeypatch):
+        # a turn that mixes too many rows runs its steps; here every turn does
+        monkeypatch.setattr(circuits, "_turn", _Turn)
+        for coefficients in (self.ODD, self.EVEN):
+            svt = SingularValueTransform(self.CHILD()[:2, :],
+                                         TargetPolynomial.chebyshev(coefficients))
+            assert self.assert_loop_matches_flat(svt) == 2
+
+    def test_the_laplace_loop_runs_every_step_but_the_first(self):
+        # the live set is saturated before step 0, so the walk finds its
+        # period at step 3 and the loop runs steps 1..d
+        for n in (3, 4):
+            a_inv, solution = laplace_solution(n)
+            solution.simulate_norm()
+            assert self.steps_looped(solution.circuit()._last_plan[1]) == [a_inv.degree]
+
+    @pytest.mark.parametrize("coefficients", [ODD, EVEN])
+    @pytest.mark.parametrize("rows, cols", [(slice(None, 2), slice(None)),
+                                            (slice(1, 4), slice(2, None))])
+    def test_the_svt_loop_runs_every_step_but_the_first(self, coefficients, rows, cols):
+        svt = SingularValueTransform(self.CHILD()[rows, cols],
+                                     TargetPolynomial.chebyshev(coefficients))
+        for node in (svt, svt.adjoint()):
+            circ = self.both_circuits(node)[0]
+            for x in self.inputs(circ, node, np.random.default_rng(1)):
+                circ.apply(x)
+                assert self.steps_looped(circ._last_plan[1]) == [len(coefficients) - 1]
+
+    @pytest.mark.parametrize("coefficients", [[0, 0.4, 0, 0.3], [0.1, 0, 0.2, 0, 0.3],
+                                              [0, 0.3, 0, 0.2, 0, 0.1]])
+    def test_a_live_set_that_never_repeats(self, coefficients):
+        # one input row of a 16-point grid spreads by a point per block, so
+        # within degree 3-5 no live set repeats and no loop forms
+        child = 0.6 * be.Increment(4) + 0.3 * be.Identity(dim=16)
+        svt = SingularValueTransform(child, TargetPolynomial.chebyshev(coefficients))
+        for node in (svt, svt.adjoint()):
+            from_items, from_flat = self.both_circuits(node)
+            x = np.zeros(1 << from_items.n_qubits, dtype=complex)
+            x[node.subspace_in.enumerate_basis()[0]] = 1
+            assert np.max(np.abs(from_items.apply(x) - from_flat.apply(x))) <= 1e-12
+            assert self.steps_looped(from_items._last_plan[1]) == []
+
+    @pytest.mark.parametrize("rows, cols", [(slice(None), slice(None)),
+                                            (slice(1, 4), slice(2, None))])
+    def test_the_loop_of_an_svt_of_an_svt_runs_every_step_but_the_first(self, rows, cols):
+        # the outer saturation walks each inner sequence by its two blocks
+        inner = SingularValueTransform(self.CHILD()[rows, cols],
+                                       TargetPolynomial.chebyshev(self.ODD))
+        outer = SingularValueTransform(inner, TargetPolynomial.chebyshev([0, 0.5, 0, 0.3, 0, 0.1]))
+        for node in (outer, outer.adjoint()):
+            circ = self.both_circuits(node)[0]
+            for x in self.inputs(circ, node, np.random.default_rng(2)):
+                circ.apply(x)
+                looped = self.steps_looped(circ._last_plan[1])
+                assert looped[0] == 5 and set(looped[1:]) == {len(self.ODD) - 1}
+
+    def test_simulation_imports_no_masked_arrays(self):
+        # numpy's set routines import numpy.ma on first use, which costs
+        # more than a whole N=3 plan in a fresh interpreter
+        code = ("import functools, sys, numpy as np, blockenc as be\n"
+                "n = 3\n"
+                "shift = be.Increment(bits=n)\n"
+                "a = 2 ** n * (2 * be.Identity(dim=2 ** n) - shift.adjoint() - shift)[:-1, :-1]\n"
+                "rhs = functools.reduce(lambda u, v: u & v, [be.ConstantVector([0.5, 0.5])] * n)\n"
+                "x = be.Pseudoinverse(a, condition=float(np.linalg.cond(a.toarray(), 2)),\n"
+                "                     tolerance=0.01) @ rhs[:-1]\n"
+                "x.simulate_norm()\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(be.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+        assert proc.stdout == "False\n"
 
 
 def laplace_solution(n, tolerance=0.01):
