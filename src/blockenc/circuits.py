@@ -19,12 +19,13 @@ from its per-step parts, without its angles.  `Circuit` keeps its items: its
 tuple is built unless one is asked for, and it range-checks each distinct
 gate once.
 
-`Circuit.apply` simulates only the rows that can be nonzero (the state
-sparsity of Jaques & Haener).  It finds the input's nonzero rows, the live
-set, and runs the plan of that set; the circuit keeps the last plan it
-built, so repeated calls on one live set build it once.  A plan walks the
-items, carrying the array of live basis labels: row i of a compact
-state holds the amplitude of label `live[i]`.
+`Circuit.run` simulates only the rows that can be nonzero (the state
+sparsity of Jaques & Haener): row i of its compact state holds the amplitude
+of basis label `labels[i]`, and it runs the plan of that live set.  The
+circuit keeps the last plan it built, so repeated calls on one live set
+build it once.  `Circuit.apply` runs the nonzero rows of a full state and
+scatters the result into a zeroed 2^n output.  A plan walks the items,
+carrying the array of live labels:
 
 - a classical gate (X, Swap, Permutation, any controls) relabels the array
   while the plan is built and leaves no step to run;
@@ -33,11 +34,7 @@ state holds the amplitude of label `live[i]`.
   gather, 2x2 product and scatter of the (2, k) positions of its pairs: H
   and RY as a real product on the real and imaginary parts side by side;
 - a diagonal gate or a global phase multiplies the rows at its positions in
-  place;
-- at the end the compact state is scattered into the full 2^n output.
-
-When every row is live the compact state starts as a copy of the input,
-and if no gate moved a row it is returned as the output.
+  place.
 
 Rows are never dropped, so the compact state has the length of the last
 live array.  One walk serves the circuit's items, a block's items and a phase
@@ -362,11 +359,8 @@ class Circuit:
         return _tally(_gate_occurrences(self._items), lower_permutations)
 
     def apply(self, state):
-        """Apply the gate sequence to a statevector (or column-stacked matrix).
-
-        Only the rows that can be nonzero are simulated: the plan of the
-        input's nonzero rows runs on a compact state, which is then scattered
-        into the full output."""
+        """Apply the gate sequence to a statevector (or column-stacked matrix):
+        `run` on the input's nonzero rows, scattered into a zeroed output."""
         st = np.asarray(state)
         flat = st.ndim == 1
         if flat:
@@ -374,24 +368,30 @@ class Circuit:
         dim = 1 << self.n_qubits
         if st.shape[0] != dim:
             raise ValueError(f"state has {st.shape[0]} amplitudes, circuit needs {dim}")
-        if not st.shape[1]:
-            return np.zeros(st.shape, dtype=complex)
-        plan = self._plan(st.any(axis=1).nonzero()[0])
-        if len(plan.live_in) == dim:  # every row live, so in label order
-            c = np.array(st, dtype=complex, order="C")
-        else:
-            c = np.zeros((len(plan.live_out), st.shape[1]), dtype=complex)
-            c[:len(plan.live_in)] = st.take(plan.live_in, axis=0)
+        live = st.any(axis=1).nonzero()[0]
+        labels, block = self.run(live, st.take(live, axis=0))
+        out = np.zeros(st.shape, dtype=complex)
+        out[labels] = block
+        return out[:, 0] if flat else out
+
+    def run(self, labels, block):
+        """Apply the gate sequence to a compact state: row i of the (n, k)
+        `block` holds the amplitude of basis label `labels[i]`, the labels
+        distinct and below 2^n_qubits, and every other amplitude is 0.  Returns
+        (labels_out, block_out) in the same form; `labels_out` belongs to the
+        circuit's plan and must not be written."""
+        labels, block = np.asarray(labels, dtype=np.intp), np.asarray(block)
+        if block.ndim != 2 or labels.shape != block.shape[:1]:
+            raise ValueError(f"run takes n labels and an (n, k) block, "
+                             f"got shapes {labels.shape} and {block.shape}")
+        plan = self._plan(labels)
+        c = np.zeros((len(plan.live_out), block.shape[1]), dtype=complex)
+        c[:len(labels)] = block
         # a row of the compact state as one item, so the steps move whole rows
         rows = c.view(f"V{c.itemsize * c.shape[1]}").reshape(-1)
         for step in chain.from_iterable(plan.steps):
             step.run(c, rows)
-        if plan.in_order:
-            out = c
-        else:
-            out = (np.empty if len(plan.live_out) == dim else np.zeros)(st.shape, dtype=complex)
-            out[plan.live_out] = c
-        return out[:, 0] if flat else out
+        return plan.live_out, c
 
     def _plan(self, live) -> _Plan:
         """The plan of input live set `live`.  The circuit keeps the last plan
@@ -400,14 +400,10 @@ class Circuit:
         last = self._last_plan
         if last is not None and last[0] == key:
             return last[1]
+        live = live.copy()  # the plan keeps it, and the caller may write theirs
         planner = _Planner(self.n_qubits, live)
-        ids = list(map(id, self._items))
-        repeated = (() if len(set(ids)) == len(ids)  # as in most small circuits
-                    else {i for i, n in Counter(ids).items() if n > 1})
-        steps = planner.walk(self._items, repeated)
-        # every label, in order, if every row was live and no gate moved one
-        in_order = len(live) == planner.dim and planner.live is live
-        plan = _Plan(live, steps, planner.live, in_order)
+        repeated = {id(it) for it, n in _occurrences(self._items) if n > 1}
+        plan = _Plan(live, planner.walk(self._items, repeated), planner.live)
         object.__setattr__(self, "_last_plan", (key, plan))
         return plan
 
@@ -738,7 +734,6 @@ class _Plan(NamedTuple):
     live_in: np.ndarray
     steps: list  # one tuple of steps per item that has any
     live_out: np.ndarray
-    in_order: bool  # live_out is known to be every label in order
 
 
 def _condition(controls):

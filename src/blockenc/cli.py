@@ -2,14 +2,16 @@
 
 Structured output is JSON on stdout; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse errors, bad BE_BUDGET
-values, graphs too large for the evaluation budget, and polynomial fits or
-phase solves that cannot reach the requested accuracy.
+values, graphs too large for the evaluation budget, polynomial fits or
+phase solves that cannot reach the requested accuracy, and a stdout closed
+before the output was written (as by `be demo laplace | head -2`).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -284,9 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except (CliError, ValueError, BudgetExceededError, PhaseSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit, which would fail and
+        # exit 120; what is left of the output goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -279,13 +279,15 @@ class Node:
         return block
 
     def _simulate(self, v) -> tuple[np.ndarray, bool]:
-        """`simulate` and whether every output column keeps the normalization bound."""
+        """`simulate` and whether every output column keeps the normalization bound,
+        from `Circuit.run` on the labels of `subspace_in`, batch by batch."""
         v = np.asarray(v, dtype=complex)
         flat = v.ndim == 1
         if flat:
             v = v[:, None]
-        if v.shape[0] != self.dim_in:
-            raise ValueError(f"input length {v.shape[0]} != dim_in {self.dim_in}")
+        if v.ndim != 2 or v.shape[0] != self.dim_in:
+            raise ValueError(f"input of shape {v.shape} is neither a vector of length "
+                             f"{self.dim_in} nor a ({self.dim_in}, k) column stack")
         circ = self.circuit()
         total = circ.n_qubits
         budget = get_budget().max_amplitudes
@@ -295,11 +297,14 @@ class Node:
         rows_in = self.subspace_in.enumerate_basis()
         rows_out = self.subspace_out.enumerate_basis()
         batch = max(1, budget >> total)  # columns per state, so each state keeps the budget
-        block = np.empty((len(rows_out), v.shape[1]), dtype=complex)
+        block = np.zeros((len(rows_out), v.shape[1]), dtype=complex)
         for j in range(0, v.shape[1], batch):
-            state = np.zeros((1 << total, min(batch, v.shape[1] - j)), dtype=complex)
-            state[rows_in, :] = v[:, j:j + batch]
-            block[:, j:j + batch] = circ.apply(state)[rows_out, :]
+            labels, out = circ.run(rows_in, v[:, j:j + batch])
+            if not j:  # every batch runs one plan, so its labels sit in one order
+                order = labels.argsort()
+                found = order.take(labels.searchsorted(rows_out, sorter=order), mode="clip")
+                hit = labels.take(found) == rows_out
+            block[hit, j:j + batch] = out.take(found[hit], axis=0)
         block *= self.normalization
         out_n = np.linalg.norm(block, axis=0)
         in_n = np.linalg.norm(v, axis=0) * self.normalization

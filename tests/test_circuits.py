@@ -218,6 +218,29 @@ class TestReference:
             assert np.max(np.abs(circ.apply(np.asfortranarray(states)) - want)) <= 1e-12
             assert np.max(np.abs(circ.apply(states[:, 0]) - want[:, 0])) <= 1e-12
 
+    def test_run_is_apply_on_the_output_labels(self):
+        """`run` on labels in any order, against `apply` of the full state
+        that holds the same rows; the output is 0 off the output labels."""
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            circ = random_circuit(rng, n, 30, with_permutation=True)
+            states = random_states(rng, n, 3)
+            labels = rng.permutation(1 << n)[:int(rng.integers(1, (1 << n) + 1))]
+            full = np.zeros_like(states)
+            full[labels] = states[labels]
+            want = circ.apply(full)
+            block = states[labels]
+            before = block.copy()
+            out_labels, got = circ.run(labels, block)
+            assert np.array_equal(block, before)
+            assert len(set(out_labels)) == len(out_labels) >= len(labels)
+            assert np.max(np.abs(got - want[out_labels])) <= 1e-12
+            assert not np.delete(want, out_labels, axis=0).any()
+            order = np.sort(labels)  # the live set `apply` runs, so the same plan
+            out_labels, got = circ.run(order, states[order])
+            assert np.array_equal(got, want[out_labels])
+
     def test_long_classical_runs(self):
         """Runs of a dozen or more X/Swap/Permutation gates, which only
         relabel the live rows, between RY, RZ and controlled global phases."""
@@ -349,16 +372,15 @@ class TestReference:
                 assert_matches_reference_on(circ, state)
             assert not circ.apply(np.zeros(16)).any()
 
-    @pytest.mark.parametrize("gates, rows, in_order", [
-        ((h(0), rz(0.4, 1), ry(0.3, 1, [(0, 1)])), range(4), True),
-        ((h(0), x(1), ry(0.3, 1, [(0, 1)])), range(4), False),
-        ((h(0), h(1)), [0], False),
-        ((h(0), x(1)), [0, 2], False),
+    @pytest.mark.parametrize("gates, rows", [
+        ((h(0), rz(0.4, 1), ry(0.3, 1, [(0, 1)])), range(4)),
+        ((h(0), x(1), ry(0.3, 1, [(0, 1)])), range(4)),
+        ((h(0), h(1)), [0]),
+        ((h(0), x(1)), [0, 2]),
     ], ids=["whole", "whole-relabelled", "filled", "filled-relabelled"])
-    def test_every_row_live(self, gates, rows, in_order):
-        """The whole register live at the start or at the end.  A whole
-        input is copied into the compact state, which is returned as the
-        output when no gate moved a row; the output is never the input."""
+    def test_every_row_live(self, gates, rows):
+        """The whole register live at the start or at the end, in label order
+        or moved; the output is never the input."""
         circ = Circuit(2, 0, gates)
         state = np.zeros((4, 2), dtype=complex)
         state[list(rows)] = np.random.default_rng(44).normal(size=(len(rows), 2))
@@ -368,7 +390,6 @@ class TestReference:
             assert not np.shares_memory(got, given)
             got[:] = 7  # the output is the caller's to keep
             assert_matches_reference_on(circ, given)
-        assert only_plan(circ).in_order is in_order
 
     def test_the_last_plan_is_kept(self):
         circ = Circuit(2, 0, (h(0), ry(0.3, 1, [(0, 1)])))
@@ -479,6 +500,12 @@ class TestValidation:
     def test_gate_rejects(self, kind, targets, controls, table, match):
         with pytest.raises(ValueError, match=match):
             Gate(kind, targets, controls, table=table)
+
+    @pytest.mark.parametrize("labels, block", [
+        ([0, 1], np.zeros((3, 1))), ([0, 1], np.zeros(2)), ([[0, 1]], np.zeros((2, 1)))])
+    def test_run_rejects_shapes(self, labels, block):
+        with pytest.raises(ValueError, match=r"n labels and an \(n, k\) block"):
+            Circuit(2, 0, (h(0),)).run(labels, block)
 
     @pytest.mark.parametrize("kind, arity", [
         *((k, 1) for k in ("X", "Y", "Z", "H", "S", "T", "Phase", "RX", "RY", "RZ")),

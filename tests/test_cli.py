@@ -268,6 +268,23 @@ class TestDemos:
         rc, out, _ = run(capsys, "estimate", str(p))
         assert rc == 0 and json.loads(out)["gate_counts"]
 
+    def test_closed_stdout_is_a_usage_error(self):
+        # the read end is closed before the process starts, so its first
+        # write fails on every run, and exit 1 means only a failed verify
+        src = os.path.dirname(os.path.dirname(os.path.abspath(be.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "blockenc.cli", "demo", "increment"],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_unreachable_fit_is_a_usage_error(self):
         # the fit raises PhaseSolverError: no odd degree within the budget
         # reaches the accuracy; run as a process to see what a user sees

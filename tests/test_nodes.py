@@ -68,6 +68,38 @@ class TestSimulate:
         out = node.simulate(np.array([1, 0], dtype=complex))
         assert np.max(np.abs(out - np.array([1, 1]))) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(), (4, 2, 2), (4, 1, 1), (3, 2)])
+    def test_rejects_inputs_that_are_not_a_vector_or_a_stack(self, shape):
+        with pytest.raises(ValueError, match=r"vector of length 4 nor a \(4, k\) column stack"):
+            be.Increment(2).simulate(np.zeros(shape))
+
+    def test_zero_columns(self):
+        node = be.ConstantVector([0.6, 0.8j]) & be.Increment(1)
+        assert node.simulate(np.zeros((node.dim_in, 0))).shape == (node.dim_out, 0)
+        dim = 1 << node.circuit().n_qubits
+        assert node.circuit().apply(np.zeros((dim, 0))).shape == (dim, 0)
+
+
+class TestSimulateOnLabels:
+    """`simulate`, `verify` and `simulate_norm` run `Circuit.run` on the
+    input labels and never build a full state through `Circuit.apply`."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corpus_without_apply(self, monkeypatch, seed):
+        def refuse(circ, state):
+            raise AssertionError("Circuit.apply called")
+
+        monkeypatch.setattr(Circuit, "apply", refuse)
+        rng = np.random.default_rng(seed)
+        pool, made = build_corpus(seed)
+        for node, _ in pool + made:
+            assert node.verify().passed
+            v = random_stack(rng, node.dim_in, 2)
+            assert np.max(np.abs(node.simulate(v) - node.compute(v))) <= 1e-10
+            if node.is_vector:
+                want = np.linalg.norm(node.toarray())
+                assert abs(node.simulate_norm() - want) <= 1e-10 * max(want, 1)
+
 
 class TestToArray:
     def test_increment_matrix(self):
@@ -112,8 +144,9 @@ class TestVerify:
 class DoublingCircuit(Circuit):
     """Multiplies the state by 2, which no circuit of valid gates does."""
 
-    def apply(self, state):
-        return 2 * super().apply(state)
+    def run(self, labels, block):
+        labels_out, out = super().run(labels, block)
+        return labels_out, 2 * out
 
 
 class Doubler(Node):
@@ -288,13 +321,14 @@ class TestCachesAndBudget:
         node = be.Increment(bits=3) + be.Identity(dim=8)
         want = node.verify()
         shapes = []
-        apply = Circuit.apply
+        run = Circuit.run
 
-        def recording_apply(circ, state):
-            shapes.append(np.shape(state))
-            return apply(circ, state)
+        def recording_run(circ, labels, block):
+            labels_out, out = run(circ, labels, block)
+            shapes.append(np.shape(out))
+            return labels_out, out
 
-        monkeypatch.setattr(Circuit, "apply", recording_apply)
+        monkeypatch.setattr(Circuit, "run", recording_run)
         old = get_budget()
         try:
             set_budget(Budget(max_amplitudes=16))

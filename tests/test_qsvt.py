@@ -812,6 +812,16 @@ class TestLaplaceSimulation:
         assert np.max(np.abs(first - self.N3_GOLDEN)) <= 1e-12
         assert np.array_equal(solution.simulate(np.ones(1, dtype=complex)), first)  # cached plan
 
+    def test_n3_solution_simulates_without_apply(self, monkeypatch):
+        def refuse(circ, state):
+            raise AssertionError("Circuit.apply called")
+
+        monkeypatch.setattr(Circuit, "apply", refuse)
+        _, solution = laplace_solution(3)
+        assert np.max(np.abs(solution.simulate(np.ones(1)) - self.N3_GOLDEN)) <= 1e-12
+        assert abs(solution.simulate_norm() - np.linalg.norm(self.N3_GOLDEN)) <= 1e-12
+        assert solution.verify().passed
+
     def test_index_arrays_do_not_grow_with_the_degree(self):
         # one register at two tolerances, so two degrees (N=3: 223 and 353,
         # N=4: 879 and 1,395): after a few phase steps the live set stops
