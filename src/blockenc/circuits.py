@@ -37,30 +37,27 @@ carrying the array of live labels:
   place.
 
 Rows are never dropped, so the compact state has the length of the last
-live array.  One walk serves the circuit's items, a block's items and a phase
-sequence's parts.  The transition of a block, a phase sequence, or a gate
-that repeats at the top level or among a phase sequence's parts (as its
-`occurrences` count them) is memoized per interned live set; a block's own
-gates run as they come.  Positions are memoized per live set, controls and
-target bit.
+live array.  A plan is one walk: a gate is planned where it occurs, however
+often its object repeats, and a block's items are walked in its place.  Only
+a phase sequence's loop plans a repeat once.
 
 A phase sequence is planned once.  Its live set is first saturated: its
 two blocks are walked in turn on the labels alone, with no step built,
 until a period adds no label, and the labels found are appended at
 amplitude 0.  A step's mark, flip, RZ, flip and unmark map each label back
 to itself, so every odd step then starts from the same live set.  The
-steps are then walked one by one until a period starts and ends on one
-live set, which is at step 3 once the set is saturated; from there each
-pair of steps repeats the same plan steps with new angles, and one loop
-step runs steps 1 to d.  The loop cuts the fixed part between two RZs in
-the middle, and each turn, from the middle of one block through an RZ to
-the middle of the next, is composed once, entry by entry, into a row-sparse
-product on the L live rows: r source rows and coefficients per row, the
-coefficients linear in the step's two RZ factors and computed for a block
-of steps at a time.  A turn is fused only if r is at most the number of
-plan steps it replaces; otherwise its steps run as they are, the RZ as one
-multiply by the step's factors.  So the plan's time and arrays grow with
-the distinct parts, not with the degree.
+steps are then walked one by one until an odd step starts on a live array
+equal to the one the last odd step started on, which is at step 3 once the
+set is saturated; from there each pair of steps repeats the same plan steps
+with new angles, and one loop step runs steps 1 to d.  The loop cuts the
+fixed part between two RZs in the middle, and each turn, from the middle of
+one block through an RZ to the middle of the next, is composed once, entry
+by entry, into a row-sparse product on the L live rows: r source rows and
+coefficients per row, the coefficients linear in the step's two RZ factors
+and computed for a block of steps at a time.  A turn is fused only if r is
+at most the number of plan steps it replaces; otherwise its steps run as
+they are, the RZ as one multiply by the step's factors.  So the plan's time
+and arrays grow with the distinct parts, not with the degree.
 """
 from __future__ import annotations
 
@@ -223,13 +220,6 @@ class PhaseSequence:
         r = self.rotation
         return tuple(Gate(r.kind, r.targets, r.controls, t) for t in self.angles())
 
-    @property
-    def repeated(self) -> set[int]:
-        """The ids of the parts that occur more than once, counted by
-        `occurrences` without the angles; the planner runs them by their
-        transitions."""
-        return {id(p) for p, n in self.occurrences() if n > 1}
-
     def __iter__(self):
         """The items of the flattened sequence in order, with one RZ per step."""
         for k, rz in enumerate(self.rotations):
@@ -377,9 +367,10 @@ class Circuit:
     def run(self, labels, block):
         """Apply the gate sequence to a compact state: row i of the (n, k)
         `block` holds the amplitude of basis label `labels[i]`, the labels
-        distinct and below 2^n_qubits, and every other amplitude is 0.  Returns
-        (labels_out, block_out) in the same form; `labels_out` belongs to the
-        circuit's plan and must not be written."""
+        distinct, >= 0 and below 2^n_qubits (else a ValueError), and every
+        other amplitude is 0.  Returns (labels_out, block_out) in the same
+        form; `labels_out` belongs to the circuit's plan and must not be
+        written."""
         labels, block = np.asarray(labels, dtype=np.intp), np.asarray(block)
         if block.ndim != 2 or labels.shape != block.shape[:1]:
             raise ValueError(f"run takes n labels and an (n, k) block, "
@@ -400,10 +391,10 @@ class Circuit:
         last = self._last_plan
         if last is not None and last[0] == key:
             return last[1]
+        _check_labels(live, 1 << self.n_qubits)
         live = live.copy()  # the plan keeps it, and the caller may write theirs
         planner = _Planner(self.n_qubits, live)
-        repeated = {id(it) for it, n in _occurrences(self._items) if n > 1}
-        plan = _Plan(live, planner.walk(self._items, repeated), planner.live)
+        plan = _Plan(live, planner.walk(self._items), planner.live)
         object.__setattr__(self, "_last_plan", (key, plan))
         return plan
 
@@ -414,6 +405,20 @@ class Circuit:
 
     def export_text(self, lower_permutations: bool = False) -> str:
         return export_text(self, lower_permutations)
+
+
+def _check_labels(labels, dim):
+    """Raise a ValueError at a label given twice, below 0 or not below `dim`;
+    increasing labels, as `apply` and `Node._simulate` pass, need no sort."""
+    if len(labels) > 1 and np.count_nonzero(labels[1:] <= labels[:-1]):
+        labels = np.sort(labels)
+        twice = np.flatnonzero(labels[1:] == labels[:-1])
+        if len(twice):
+            raise ValueError(f"run takes distinct labels, got {labels[twice[0]]} twice")
+    if len(labels) and labels[0] < 0:
+        raise ValueError(f"run takes labels >= 0, got {labels[0]}")
+    if len(labels) and labels[-1] >= dim:
+        raise ValueError(f"run takes labels below 2^n_qubits = {dim}, got {labels[-1]}")
 
 
 def _occurrences(items):
@@ -544,15 +549,6 @@ class _Scale(NamedTuple):
             rows[self.positions] = w
 
 
-class _Reorder(NamedTuple):
-    """Moves row `order[i]` of the compact state to row i, for every i."""
-
-    order: np.ndarray
-
-    def run(self, c, rows):
-        rows[:len(self.order)] = rows[self.order]
-
-
 class _Turn(NamedTuple):
     """The fixed steps `before`, a phase step's RZ and the fixed steps
     `after`, on the first n rows of the compact state.  The RZ is one
@@ -643,14 +639,14 @@ class _Loop(NamedTuple):
 
 def _turn(before, classes, after):
     """The `_Turn` of `before`, an RZ with `classes` and `after`, fused into
-    a `_FusedTurn` if its steps are all `_Pairs`, `_Scale` and `_Reorder`
-    and no row needs more entries than the steps it replaces.  The product
-    is composed on its rows, row i as entries of source row src[j, i] with
-    coefficients val[j, i], one per factor (of 1, then after the RZ of each
-    class of rows), so no n x n array is built."""
+    a `_FusedTurn` if its steps are all `_Pairs` and `_Scale` and no row
+    needs more entries than the steps it replaces.  The product is composed
+    on its rows, row i as entries of source row src[j, i] with coefficients
+    val[j, i], one per factor (of 1, then after the RZ of each class of
+    rows), so no n x n array is built."""
     turn = _Turn(before, classes, after)
     steps = before + after
-    if not all(type(s) in (_Pairs, _Scale, _Reorder) for s in steps):
+    if not all(type(s) in (_Pairs, _Scale) for s in steps):
         return turn
     n = len(classes)
     present = np.bincount(classes[:, 0], minlength=3).nonzero()[0]
@@ -680,8 +676,6 @@ def _composed(steps, src, val, most):
             f = np.ones((n, 1), dtype=complex)
             f[s.positions] = s.factor
             val = val * f
-        elif type(s) is _Reorder:  # row order[i] moves to row i
-            src, val = src.take(s.order, axis=1), val.take(s.order, axis=1)
         else:  # row i becomes keep[i] row i + gain[i] row partner[i]
             (low, high), m = s.pairs, s.matrix
             partner = np.arange(n)
@@ -732,7 +726,7 @@ class _Plan(NamedTuple):
     the amplitude of basis label `live_in[i]`, then `live_out[i]`, at row i."""
 
     live_in: np.ndarray
-    steps: list  # one tuple of steps per item that has any
+    steps: list  # one tuple of steps per gate or phase sequence that has any
     live_out: np.ndarray
 
 
@@ -780,74 +774,29 @@ class _Planner:
     whole plan has the length of its last live array.  A classical gate only
     relabels `live` and leaves no step.
 
-    The transition of a block, a phase sequence or a repeated gate is
-    memoized by the live set it starts from, interned (`key`) with the first
-    arrangement of its labels that reached a memo; a later arrangement of the
-    same set is moved back to that one by a `_Reorder` step, so a run
-    repeated any number of times keeps one arrangement per live set.
-    Positions of diagonal and matrix gates are memoized by the live key, the
-    controls and the target bit, so the RZs of a phase sequence's steps
-    share them.  A live array that no memo needs is never interned.  A phase
-    sequence is walked by `sequence`, after `saturate` appends the labels
-    its steps will reach."""
+    A plan is one walk: a gate is planned where it occurs, however often its
+    object repeats, and a block's items are walked in its place.  Only a
+    phase sequence plans a repeat once: `sequence`, after `saturate` appends
+    the labels its steps will reach, runs its repeated steps as one loop."""
 
     def __init__(self, n, live):
         self.dim = 1 << n
         self.live = live
         self.pos = np.zeros(self.dim, dtype=np.intp)
         self.stale = True  # pos not refreshed for `live`
-        self.key = None  # the key of `live` when `live` is its set's arrangement
-        self.keys = {}  # bytes of a sorted live set -> its key
-        self.arrangements = []  # key -> the live array of that set
-        self.transitions = {}  # (key, id of an item) -> (key, live, steps)
-        self.positions = {}  # (key, mask, value[, bit]) -> positions or pairs
 
-    def walk(self, items, repeated):
-        """One tuple of steps per item that has any: a gate whose id is in
-        `repeated`, a block and a phase sequence by their transitions, any
-        other gate as it comes.  An empty block leaves no memo or step."""
+    def walk(self, items):
+        """One tuple of steps per gate or phase sequence that has any, a
+        block's items walked in its place."""
         steps = []
         for it in items:
-            s = (self.gate(it) if isinstance(it, Gate) and id(it) not in repeated
-                 else self.transition(it) if it else ())
-            if s:
-                steps.append(s)
+            if isinstance(it, (Gate, PhaseSequence)):
+                s = self.gate(it) if isinstance(it, Gate) else self.sequence(it)
+                if s:
+                    steps.append(s)
+            else:
+                steps += self.walk(it)
         return steps
-
-    def transition(self, it):
-        """The steps of a block, a phase sequence or a repeated gate, memoized
-        by the live key.  A block's gates run as they come."""
-        settle = self.settle() if self.key is None else ()
-        start = self.key, id(it)
-        hit = self.transitions.get(start)
-        if hit is None:
-            steps = (self.gate(it) if isinstance(it, Gate) else
-                     self.sequence(it) if isinstance(it, PhaseSequence) else
-                     tuple(chain.from_iterable(self.walk(it, ()))))
-            if self.key is None:
-                steps += self.settle()
-            hit = self.transitions[start] = (self.key, self.live, steps)
-        elif hit[1] is not self.live:
-            self.key, self.live, _ = hit
-            self.stale = True
-        return settle + hit[2] if settle else hit[2]
-
-    def settle(self):
-        """Intern the live set; the step that moves its rows to the set's
-        interned arrangement, if they are in another."""
-        ordered = np.sort(self.live)
-        self.key = self.keys.setdefault(ordered.tobytes(), len(self.keys))
-        if self.key == len(self.arrangements):
-            self.arrangements.append(self.live)
-            return ()
-        first = self.arrangements[self.key]
-        if np.array_equal(first, self.live):
-            self.live = first
-            return ()
-        self.refresh()
-        order = self.pos[first]
-        self.live, self.stale = first, True
-        return (_Reorder(order),)
 
     def refresh(self):
         if self.stale:
@@ -857,7 +806,7 @@ class _Planner:
     def gate(self, g):
         kind = g.kind
         if kind in _CLASSICAL:
-            self.live, self.key, self.stale = _image(g, self.live), None, True
+            self.live, self.stale = _image(g, self.live), True
             return ()
         mask, value = _condition(g.controls)
         if kind == "GlobalPhase":
@@ -884,12 +833,12 @@ class _Planner:
         k runs the segment of parity k % 2 (flip, unmark, block, mark, flip).
         Once `saturate` has appended the labels the steps will reach, the
         steps are walked one by one until a period, an odd segment and an
-        even one, starts and ends on one interned live set, which is at step
-        3 unless the labels did not close within the sequence's periods.
+        even one, starts and ends on equal live arrays, which is at step 3
+        unless the labels did not close within the sequence's periods.
         From there each period repeats the same steps with new angles, so one
         `_Loop` runs that period and the rest, and the plan grows with the
         distinct parts, not with the degree."""
-        d, repeated = ps.degree, ps.repeated
+        d = ps.degree
         (mark0, unmark0), (mark1, unmark1) = ps.marks
         segments = ((ps.flip, unmark1, ps.blocks[0], mark0, ps.flip),
                     (ps.flip, unmark0, ps.blocks[1], mark1, ps.flip))
@@ -898,22 +847,22 @@ class _Planner:
         factors = np.stack((np.ones(d + 1), np.exp(-1j * half), np.exp(1j * half)), axis=1)
         if d > 2 and len(self.live) < self.dim:
             self.saturate(ps)
-        steps = list(self.walk((mark0, ps.flip), repeated))
+        steps = list(self.walk((mark0, ps.flip)))
         steps.append(self.diagonal(*rz, factors[0, 1:]))
-        start = None  # (key, live, steps so far) at the start of the last odd segment
-        last = [None, None]  # (steps, key, live) of the last segment of each parity
+        start = None  # (live, steps so far) at the start of the last odd segment
+        last = [None, None]  # (steps, live) of the last segment of each parity
         for k in range(1, d + 1):
             p = k % 2
             if p:
-                if start is not None and self.key == start[0] and self.live is start[1]:
-                    del steps[start[2]:]
+                if start is not None and np.array_equal(self.live, start[0]):
+                    del steps[start[1]:]
                     steps.append((self.loop(last, factors[k - 2:], rz),))
                     break
-                start = (self.key, self.live, len(steps)) if self.key is not None else None
-            seg = tuple(chain.from_iterable(self.walk(segments[p], repeated)))
-            last[p] = seg, self.key, self.live
+                start = self.live, len(steps)
+            seg = tuple(chain.from_iterable(self.walk(segments[p])))
+            last[p] = seg, self.live
             steps += (seg, self.diagonal(*rz, factors[k, 1:]))
-        steps += self.walk((ps.flip, ps.marks[d % 2][1]), repeated)
+        steps += self.walk((ps.flip, ps.marks[d % 2][1]))
         return tuple(chain.from_iterable(steps))
 
     def loop(self, last, factors, rz):
@@ -923,51 +872,31 @@ class _Planner:
         end, so from the middle of one block through an RZ to the middle of
         the next, few rows mix.  It leaves the planner after the last step."""
         mask, value, bit = rz
-        n = len(self.live)
         head, tail, classes = [], [], []
-        for seg, key, live in last:
-            self.key, self.live, self.stale = key, live, True
-            cls = np.zeros((n, 1), dtype=np.intp)
-            for half in (0, 1):
-                cls[self.where(mask | bit, value | half * bit)] = 1 + half
+        for seg, live in last:
+            # 0 where the rotation's controls fail, else 1 + the target bit
+            classes.append(np.where((live & mask) == value, 1 + (live & bit != 0), 0)[:, None])
             cut = len(seg) // 2
             head.append(seg[:cut])
             tail.append(seg[cut:])
-            classes.append(cls)
         turns = tuple(_turn(tail[p], classes[p], head[1 - p]) for p in (0, 1))
         p = len(factors) % 2  # the parity of the last step, as the first is odd
-        _, self.key, self.live = last[p]
-        self.stale = True
+        self.live, self.stale = last[p][1], True
         return _Loop(head[1], turns, (factors[1:-1:2], factors[:-1:2]),
                      tail[p] + self.diagonal(*rz, factors[-1, 1:]))
 
     def where(self, mask, value):
         """The positions of the live labels x with x & mask == value."""
-        if not mask:
-            return _ALL
-        if self.key is None:
-            return ((self.live & mask) == value).nonzero()[0]
-        key = self.key, mask, value
-        found = self.positions.get(key)
-        if found is None:
-            found = self.positions[key] = ((self.live & mask) == value).nonzero()[0]
-        return found
+        return ((self.live & mask) == value).nonzero()[0] if mask else _ALL
 
     def pairs(self, mask, value, bit):
         """The (2, k) positions of the live pairs x, x | bit under the
         controls, after appending the partners that are not live."""
-        key = self.key, mask, value, bit
-        found = None if self.key is None else self.positions.get(key)
-        if found is not None:
-            return found
         if len(self.live) < self.dim:
             self.add_partners(mask, value, bit)
         self.refresh()
         low = self.where(mask | bit, value)
-        found = np.concatenate((low, self.pos[self.live[low] | bit])).reshape(2, -1)
-        if self.key is not None:
-            self.positions[key] = found
-        return found
+        return np.concatenate((low, self.pos[self.live[low] | bit])).reshape(2, -1)
 
     def add_partners(self, mask, value, bit):
         """Append, after the live rows, each label x ^ bit that is not live
@@ -983,7 +912,6 @@ class _Planner:
             m = len(self.live)
             self.live = np.concatenate((self.live, new))
             self.pos[new] = np.arange(m, m + len(new))
-            self.key = None
 
     def saturate(self, ps):
         """Append, at amplitude 0, the labels that the phase steps of `ps`
@@ -993,9 +921,9 @@ class _Planner:
         sequence's start, and the walk of `sequence` finds its period at
         step 3.  The plan never depends on this: a label appended in vain is
         a row of zeros, and one missed is appended by the walk."""
-        entry, key = self.live, self.key
+        entry = self.live
         self.close(ps)
-        labels, self.live, self.key, self.stale = self.live, entry, key, True
+        labels, self.live, self.stale = self.live, entry, True
         self.refresh()
         # the position of a label that is not in `entry` is left from the
         # walk; the entry label it clips to differs from it

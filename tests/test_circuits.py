@@ -11,7 +11,6 @@ from blockenc.circuits import (
     UnsupportedGateError,
     _FusedTurn,
     _Pairs,
-    _Reorder,
     _Scale,
     _Turn,
     _turn,
@@ -164,13 +163,6 @@ def repeated_run_circuit(repeats=4):
     return Circuit(3, 1, tuple(gates))
 
 
-def retained_arrays(circ):
-    """The distinct position arrays the plan cached on `circ` keeps."""
-    arrays = {id(a): a for steps in only_plan(circ).steps
-              for s in steps for a in s[:1] if isinstance(a, np.ndarray)}
-    return list(arrays.values())
-
-
 def only_plan(circ):
     """The plan cached on `circ`."""
     return circ._last_plan[1]
@@ -258,16 +250,26 @@ class TestReference:
             assert np.max(np.abs(circ.apply(states) - reference_apply(circ, states))) <= 1e-12
 
     def test_repeated_classical_run(self):
-        circ = repeated_run_circuit()
         states = random_states(np.random.default_rng(24), 4, 5)
-        assert np.max(np.abs(circ.apply(states) - reference_apply(circ, states))) <= 1e-12
-        # the run maps the full live set onto itself, and each repeat is moved
-        # back to the set's first arrangement, so the kernels of every repeat
-        # share their positions: memory is O(distinct parts), not O(repeats)
-        four, eight = repeated_run_circuit(4), repeated_run_circuit(8)
-        four.apply(states)
-        eight.apply(states)
-        assert len(retained_arrays(four)) == len(retained_arrays(eight))
+        for repeats in (4, 8):
+            circ = repeated_run_circuit(repeats)
+            assert np.max(np.abs(circ.apply(states) - reference_apply(circ, states))) <= 1e-12
+
+    def test_repeated_blocks_and_gates(self):
+        """One block tuple three times at the top level and once inside
+        another block, and one gate object repeated among them: the walk
+        plans each occurrence where it comes, on whole and partial live sets."""
+        g = ry(0.9, 2, [(0, 1)])
+        inner = (h(1), x(0, [(1, 0)]), g, global_phase(0.3, [(2, 1)]), swap(0, 2))
+        outer = (rz(0.4, 1), inner, g, permutation([1, 3, 0, 2], [0, 2]))
+        circ = Circuit(2, 1, (inner, g, inner, outer, x(1), inner, g))
+        assert len(circ.gates) == 4 * len(inner) + 6
+        states = random_states(np.random.default_rng(26), 3, 3)
+        assert_matches_reference(circ)
+        for rows in ([0], [2, 5], [1, 3, 4, 6]):
+            state = np.zeros_like(states)
+            state[rows] = states[rows]
+            assert_matches_reference_on(circ, state)
 
     def test_kernels_back_to_back_on_different_qubits(self):
         """No classical gate in between; each kernel is one step on the
@@ -426,14 +428,12 @@ class TestFusedTurn:
             assert np.max(np.abs(c - want)) <= 1e-14
 
     def test_a_turn_whose_ends_undo_each_other_is_fused(self):
-        # RY, a phase and a reorder, an RZ on two classes, then the reorder,
-        # the phase and the RY undone: each row reaches at most two rows
+        # RY and a phase, an RZ on two classes, then the phase and the RY
+        # undone: each row reaches at most two rows
         angle = 0.7
         m = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-        order = np.array([1, 0, 3, 2, 5, 4, 7, 6])
-        before = (_Pairs(np.stack((self.EVEN, self.ODD)), m), _Scale(np.array([2, 5]), -1j),
-                  _Reorder(order))
-        after = (_Reorder(order), _Scale(np.array([2, 5]), 1j),
+        before = (_Pairs(np.stack((self.EVEN, self.ODD)), m), _Scale(np.array([2, 5]), -1j))
+        after = (_Scale(np.array([2, 5]), 1j),
                  _Pairs(np.stack((self.EVEN, self.ODD)), m.T), _Scale(_ALL, np.exp(0.4j)))
         classes = np.array([[1], [2], [0], [1], [2], [2], [0], [1]])
         fused = _turn(before, classes, after)
@@ -506,6 +506,21 @@ class TestValidation:
     def test_run_rejects_shapes(self, labels, block):
         with pytest.raises(ValueError, match=r"n labels and an \(n, k\) block"):
             Circuit(2, 0, (h(0),)).run(labels, block)
+
+    @pytest.mark.parametrize("labels", [[1, 1], [3, 0, 2, 0]])
+    def test_run_rejects_a_label_given_twice(self, labels):
+        with pytest.raises(ValueError, match=r"distinct labels, got [01] twice"):
+            Circuit(2, 0, (h(0),)).run(labels, np.ones((len(labels), 1)))
+
+    @pytest.mark.parametrize("labels", [[-1], [2, -3, 0]])
+    def test_run_rejects_a_negative_label(self, labels):
+        with pytest.raises(ValueError, match=r"labels >= 0, got -"):
+            Circuit(2, 0, (h(0),)).run(labels, np.ones((len(labels), 1)))
+
+    @pytest.mark.parametrize("labels", [[4], [0, 7, 2]])
+    def test_run_rejects_a_label_past_the_register(self, labels):
+        with pytest.raises(ValueError, match=r"labels below 2\^n_qubits = 4, got [47]"):
+            Circuit(2, 0, (h(0),)).run(labels, np.ones((len(labels), 1)))
 
     @pytest.mark.parametrize("kind, arity", [
         *((k, 1) for k in ("X", "Y", "Z", "H", "S", "T", "Phase", "RX", "RY", "RZ")),
