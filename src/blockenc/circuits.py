@@ -371,7 +371,16 @@ class Circuit:
         other amplitude is 0.  Returns (labels_out, block_out) in the same
         form; `labels_out` belongs to the circuit's plan and must not be
         written."""
-        labels, block = np.asarray(labels, dtype=np.intp), np.asarray(block)
+        labels, block = np.asarray(labels), np.asarray(block)
+        if labels.size and labels.dtype.kind not in "iu":
+            # a float would be truncated and an int past 64 bits overflow
+            dim = 1 << self.n_qubits
+            bad = [x for x in labels.flat
+                   if not isinstance(x, (int, np.integer)) or not 0 <= x < dim]
+            if bad:
+                raise ValueError(f"run takes integer labels below 2^n_qubits = {dim}, "
+                                 f"got {bad[0]}")
+        labels = labels.astype(np.intp, copy=False)
         if block.ndim != 2 or labels.shape != block.shape[:1]:
             raise ValueError(f"run takes n labels and an (n, k) block, "
                              f"got shapes {labels.shape} and {block.shape}")
@@ -776,7 +785,7 @@ class _Planner:
 
     A plan is one walk: a gate is planned where it occurs, however often its
     object repeats, and a block's items are walked in its place.  Only a
-    phase sequence plans a repeat once: `sequence`, after `saturate` appends
+    phase sequence plans a repeat once: `sequence`, after `close` appends
     the labels its steps will reach, runs its repeated steps as one loop."""
 
     def __init__(self, n, live):
@@ -831,7 +840,7 @@ class _Planner:
     def sequence(self, ps):
         """The steps of a phase sequence.  Between the RZs of steps k - 1 and
         k runs the segment of parity k % 2 (flip, unmark, block, mark, flip).
-        Once `saturate` has appended the labels the steps will reach, the
+        Once `close` has appended the labels the steps will reach, the
         steps are walked one by one until a period, an odd segment and an
         even one, starts and ends on equal live arrays, which is at step 3
         unless the labels did not close within the sequence's periods.
@@ -846,7 +855,7 @@ class _Planner:
         half = 0.5 * np.asarray(ps.angles(), dtype=float)
         factors = np.stack((np.ones(d + 1), np.exp(-1j * half), np.exp(1j * half)), axis=1)
         if d > 2 and len(self.live) < self.dim:
-            self.saturate(ps)
+            self.close(ps)
         steps = list(self.walk((mark0, ps.flip)))
         steps.append(self.diagonal(*rz, factors[0, 1:]))
         start = None  # (live, steps so far) at the start of the last odd segment
@@ -913,26 +922,16 @@ class _Planner:
             self.live = np.concatenate((self.live, new))
             self.pos[new] = np.arange(m, m + len(new))
 
-    def saturate(self, ps):
-        """Append, at amplitude 0, the labels that the phase steps of `ps`
-        will reach from the live set, found by `close` on the labels alone.
-        The mark, flip, RZ, flip and unmark of a step map each label back to
-        itself, so every odd step then starts from the live set of the
-        sequence's start, and the walk of `sequence` finds its period at
-        step 3.  The plan never depends on this: a label appended in vain is
-        a row of zeros, and one missed is appended by the walk."""
-        entry = self.live
-        self.close(ps)
-        labels, self.live, self.stale = self.live, entry, True
-        self.refresh()
-        # the position of a label that is not in `entry` is left from the
-        # walk; the entry label it clips to differs from it
-        self.append(labels[entry.take(self.pos[labels], mode="clip") != labels])
-
     def close(self, ps):
-        """Walk the two blocks of `ps` in turn, `blocks[1]` then `blocks[0]`,
-        with `spread` until a period adds no label, at most once per period
-        of the sequence."""
+        """Append, at amplitude 0, the labels that the phase steps of `ps`
+        will reach: walk `blocks[1]` then `blocks[0]` on the labels alone
+        (`spread`) until a period adds no label, at most once per period of
+        the sequence.  Lowering builds `blocks[0]` as the inverse of
+        `blocks[1]`, and a step's mark, flip, RZ, flip and unmark map each
+        label to itself, so each period returns every label to its row and
+        every odd step starts from the live set of the sequence's start: the
+        walk of `sequence` finds its period at step 3.  A label appended in
+        vain is a row of zeros, and one missed is appended by that walk."""
         for _ in range(ps.degree // 2):
             m = len(self.live)
             self.spread(ps.blocks[::-1])

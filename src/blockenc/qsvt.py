@@ -23,7 +23,7 @@ takes the root to the nodes, and the second half follows in closed form.
 A pass costs O(d log^2 d), no array is larger than O(d), and no linear system
 is solved but a least-squares fit over at most 5 past steps.  The pointwise
 recurrence (`_top_row`) evaluates a sequence at arbitrary x for
-`realized_poly`.
+`realized_poly`.  Only the transform node rescales a target, by its bound.
 """
 from __future__ import annotations
 
@@ -89,7 +89,8 @@ def _trimmed(c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TargetPolynomial:
-    """Real Chebyshev series with definite parity, bounded by 1 on [-1, 1]."""
+    """Real Chebyshev series with definite parity.  `chebyshev` checks the
+    unit bound on [-1, 1]; the pseudoinverse's fit skips it."""
 
     coefficients: tuple[float, ...]
     parity: str  # "even" | "odd"
@@ -508,7 +509,9 @@ class SingularValueTransform(Node):
     Circuit: projector-controlled phases around the input/output sectors
     alternating with the child circuit and its adjoint; one extra qubit
     averages the sequence with its conjugate-phase twin so the realized
-    function is the real part.  Arithmetic path: dense SVD.
+    function is the real part.  Arithmetic path: dense SVD.  A target above
+    1 - `_MARGIN` is solved scaled by (1 - `_MARGIN`) / `sup_bound`, the
+    inverse of the normalization: no sup exceeds the bound, so it has phases.
     """
 
     def __init__(self, a: Node, target: TargetPolynomial):
@@ -517,7 +520,7 @@ class SingularValueTransform(Node):
         self.a = a
         self.children = (a,)
         self.target = target
-        self._rescale = ((1 - _MARGIN) / target.sup_norm()
+        self._rescale = ((1 - _MARGIN) / target.sup_bound
                          if target._exceeds(1 - _MARGIN) else 1.0)
 
     @cached_property
@@ -745,11 +748,9 @@ def _inverse_target(delta: float, eps: float, cap: int):
     1 - (1 - x^2)^b (which vanishes to second order at 0), in closed form
     (`_window_series`), truncated to the smallest odd degree at most `cap`
     whose partial sum is within eps/2 of delta/(2x) at every point of a
-    2,001-point grid of [delta, 1] (`_first_fit`).  Returns (target,
-    compensation) where compensation restores any clamping of the sup norm.
-    The last 64 distinct calls are cached, as in `solve_phases`, so a
-    pseudoinverse rebuilt from its graph document does not fit its target
-    again.
+    2,001-point grid of [delta, 1] (`_first_fit`).  The last 64 distinct
+    calls are cached, as in `solve_phases`, so a pseudoinverse rebuilt from
+    its graph document does not fit its target again.
 
     The cost follows the degree found, not `cap`.  Coefficients are computed
     up to a horizon that starts near 2 sqrt(b ln(4/eps)), where the binomial
@@ -761,13 +762,9 @@ def _inverse_target(delta: float, eps: float, cap: int):
     than the amplitude budget's count of coefficients raises
     `BudgetExceededError`.
 
-    The clamp to 1 - 2 * `_MARGIN` reads the target's `sup_bound` and
-    evaluates the series on 4,001 points of [-1, 1] only when the bound is
-    above the clamp level; the sample decides whether and by how much to
-    clamp.  The target is the one `TargetPolynomial.chebyshev` would build,
-    trailing coefficients trimmed, without its unit check: the clamp implies
-    it, since the 2,001-point sample is every other point of the 4,001, so
-    each fit computes one bound.
+    The target is the one `TargetPolynomial.chebyshev` would build, trailing
+    coefficients trimmed, without its unit check: at tight tolerances its
+    sup exceeds 1, and `SingularValueTransform` rescales it.
     """
     b = _window_exponent(delta, eps)
     top = min((cap + 1) // 2, b)  # odd degrees up to the cap and up to 2b - 1
@@ -792,14 +789,7 @@ def _inverse_target(delta: float, eps: float, cap: int):
         count = min(top, most, 2 * count)
     c = np.zeros(2 * m)
     c[1::2] = odd[:m]
-    target = TargetPolynomial(tuple(_trimmed(c)), "odd")
-
-    level = 1 - 2 * _MARGIN
-    if target.sup_bound > level:
-        sup = float(np.max(np.abs(cheb.chebval(np.linspace(-1.0, 1.0, 4001), c))))
-        if sup > level:
-            return TargetPolynomial(tuple(_trimmed(c * (level / sup))), "odd"), sup / level
-    return target, 1.0
+    return TargetPolynomial(tuple(_trimmed(c)), "odd")
 
 
 class Pseudoinverse(ProxyNode):
@@ -833,7 +823,7 @@ class Pseudoinverse(ProxyNode):
                 raise ValueError("the block has no nonzero singular value")
             delta = min(float(keep[-1]), 1.0)  # block norms can round above 1
         self.delta = float(delta)
-        self._target, self._comp = _inverse_target(self.delta, self.tolerance, math.ceil(cap))
+        self._target = _inverse_target(self.delta, self.tolerance, math.ceil(cap))
 
     @property
     def degree(self) -> int:
@@ -846,9 +836,8 @@ class Pseudoinverse(ProxyNode):
     def _expand(self):
         # the transform applies on the adjoint: p^SV(block^H) = V p(S) U^H,
         # which for p(x) ~ delta/(2x) recovers V S^-1 U^H, the inverse direction
-        svt = SingularValueTransform(self.a.adjoint(), self._target)
-        factor = 2.0 * self._comp / (self.delta * self.a.normalization)
-        return Scale(factor, svt)
+        return Scale(2.0 / (self.delta * self.a.normalization),
+                     SingularValueTransform(self.a.adjoint(), self._target))
 
     def __repr__(self):
         return f"Pseudoinverse({self.a!r}, condition={self.condition}, tolerance={self.tolerance})"

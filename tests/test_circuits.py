@@ -522,6 +522,20 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"labels below 2\^n_qubits = 4, got [47]"):
             Circuit(2, 0, (h(0),)).run(labels, np.ones((len(labels), 1)))
 
+    def test_run_rejects_a_label_that_is_not_an_integer(self):
+        # a cast would truncate it and run label 1
+        with pytest.raises(ValueError, match=r"integer labels below 2\^n_qubits = 4, got 1.7"):
+            Circuit(2, 0, (h(0),)).run([1.7], np.ones((1, 1)))
+
+    def test_run_rejects_a_label_past_64_bits(self):
+        # a cast would end in a bare OverflowError
+        with pytest.raises(ValueError, match=f"integer labels below 2\\^n_qubits = 4, got {2**70}"):
+            Circuit(2, 0, (h(0),)).run([0, 2**70], np.ones((2, 1)))
+
+    def test_run_takes_an_empty_label_list(self):
+        labels, block = Circuit(2, 0, (h(0),)).run([], np.ones((0, 1)))
+        assert labels.shape == (0,) and block.shape == (0, 1)
+
     @pytest.mark.parametrize("kind, arity", [
         *((k, 1) for k in ("X", "Y", "Z", "H", "S", "T", "Phase", "RX", "RY", "RZ")),
         ("Swap", 2), ("GlobalPhase", 0),

@@ -136,7 +136,7 @@ class TestTargetPolynomial:
             same = np.zeros(d + 1)
             same[d % 2::2] = 1 / (d // 2 + 1)
             targets.append(TargetPolynomial.chebyshev(same))
-        targets += [_inverse_target(*args)[0] for args, _ in TestInverseTarget.FITS]
+        targets += [_inverse_target(*args) for args, _ in TestInverseTarget.FITS]
         xs = np.cos(np.linspace(0, np.pi, 400001))
         u = 2.0 ** -53
         for t in targets:
@@ -156,9 +156,9 @@ class TestTargetPolynomial:
                 err = abs(extrema[k] - exact)
                 assert err <= 7 * math.log2(2 * m) * math.sqrt(2 * m) * u * l1, t.degree
             fine_max = float(np.max(np.abs(fine)))
-            clamp_sample = float(np.max(np.abs(
+            sample_4001 = float(np.max(np.abs(
                 np.polynomial.chebyshev.chebval(np.linspace(-1, 1, 4001), c))))
-            assert max(fine_max, t.sup_norm(), clamp_sample) <= t.sup_bound, t.degree
+            assert max(fine_max, t.sup_norm(), sample_4001) <= t.sup_bound, t.degree
             assert (t.sup_bound <= fine_max / math.cos(math.pi / 8)
                     + 1e-14 * (t.degree + 1) ** 2 * l1), t.degree
 
@@ -169,7 +169,7 @@ class TestTargetPolynomial:
         cases = [bounded_random_target(np.random.default_rng(seed), 121, 1.0).coefficients
                  for seed in range(38, 46)]
         cases = [np.asarray(c) * s for c in cases for s in (0.93, 0.998, 0.9995, 1.0, 1 + 2e-9)]
-        cases += [_inverse_target(*args)[0].coefficients
+        cases += [_inverse_target(*args).coefficients
                   for args, _ in TestInverseTarget.FITS[-2:]]
         fell_back = 0
         for c in cases:
@@ -181,11 +181,14 @@ class TestTargetPolynomial:
                 continue
             t = TargetPolynomial.chebyshev(c)
             fell_back += t.sup_bound > 1 - qsvt._MARGIN
-            rescale = (1 - qsvt._MARGIN) / sup if sup > 1 - qsvt._MARGIN else 1.0
+            rescale = (1 - qsvt._MARGIN) / t.sup_bound if sup > 1 - qsvt._MARGIN else 1.0
             assert SingularValueTransform(be.Increment(2), t)._rescale == rescale
             # no iteration: the margin check raises ValueError, else the residual is too big
             with pytest.raises(ValueError if sup > 1 - qsvt._MARGIN else PhaseSolverError):
                 solve_phases.__wrapped__(t, max_iterations=0)
+            if rescale < 1:  # the rescaled target passes the margin check
+                with pytest.raises(PhaseSolverError):
+                    solve_phases.__wrapped__(t.scaled(rescale), max_iterations=0)
         assert fell_back >= 20  # of 34 built: most reach the sample, so it is the fallback checked
 
     def test_trailing_zeros_trimmed(self):
@@ -226,7 +229,7 @@ class TestSolvePhases:
         # 24 MB at degree 3519, the N=5 Laplace size
         for args, degree, limit in (((0.00961, 0.01, 2500), 879, 0.5 * 2**20),
                                     ((0.0024, 0.01, 20000), 3519, 2 * 2**20)):
-            target, _ = _inverse_target(*args)
+            target = _inverse_target(*args)
             assert target.degree == degree
             tracemalloc.start()
             try:
@@ -271,7 +274,7 @@ class TestSolvePhases:
 
     def test_degree_879_solve_needs_no_linear_solve(self, monkeypatch):
         # the zero-phase Jacobian is a DCT, so no step factors a k x k matrix
-        target, _ = _inverse_target(0.00961, 0.01, 2500)
+        target = _inverse_target(0.00961, 0.01, 2500)
         calls, passes = [], []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
@@ -304,7 +307,7 @@ class TestSolvePhases:
         assert len(errors) - errors.index(best) - 1 <= 10
 
     def test_degree_3519_solve_never_runs_the_pointwise_recurrence(self, monkeypatch):
-        target, _ = _inverse_target(0.0024, 0.01, 20000)
+        target = _inverse_target(0.0024, 0.01, 20000)
         calls = []
         monkeypatch.setattr(qsvt, "_top_row", lambda *a: calls.append(1) or _top_row(*a))
         pv = solve_phases.__wrapped__(target)
@@ -313,7 +316,7 @@ class TestSolvePhases:
 
     def test_degree_13389_solve_converges_in_small_memory(self, monkeypatch):
         # the N=6 Laplace size
-        target, _ = _inverse_target(0.0006023, 0.01, 40000)
+        target = _inverse_target(0.0006023, 0.01, 40000)
         assert target.degree == 13389
         passes = []
         monkeypatch.setattr(qsvt, "_node_top_row",
@@ -464,6 +467,33 @@ class TestSingularValueTransformNode:
         want = (u[:, : len(s)] * t(s)) @ vh[: len(s), :]
         assert np.max(np.abs(node.toarray() - want)) < 1e-12
 
+    def test_a_target_rescaled_by_its_bound_solves(self):
+        # a 2,001-point sup of 1: scaled by its sample, it read one ulp above
+        # the margin and the solver refused it
+        node = SingularValueTransform(be.Increment(2), TargetPolynomial.chebyshev(
+            [0, 0.8765173794565629, 0, 0.12311377913146865]))
+        assert node.normalization > 1
+        assert node.verify(1e-8).passed
+
+    def test_near_unit_targets_are_rescaled_within_the_margin(self):
+        # odd targets of degree 3-59 with a 2,001-point sup of 0.9995-1: none
+        # fails the solver's margin check, and at most 2 of 200 stall
+        rng = np.random.default_rng(0)
+        xs = np.linspace(-1, 1, 2001)
+        stalls = 0
+        for _ in range(200):
+            d = 2 * int(rng.integers(1, 30)) + 1
+            c = np.zeros(d + 1)
+            j = np.arange(1, d + 1, 2)
+            c[j] = rng.normal(size=len(j)) / j ** 2
+            c *= rng.uniform(0.9995, 1) / np.max(np.abs(np.polynomial.chebyshev.chebval(xs, c)))
+            node = SingularValueTransform(be.Increment(2), TargetPolynomial.chebyshev(c))
+            try:
+                node.phase_vector
+            except PhaseSolverError:
+                stalls += 1
+        assert stalls <= 2
+
     @pytest.mark.parametrize("table", [1 << 11, 1])
     def test_target_at_singular_values_is_clenshaws(self, monkeypatch, table):
         # baby-step/giant-step against `chebval`, at values in [0, 1], on
@@ -478,7 +508,7 @@ class TestSingularValueTransformNode:
         s = np.concatenate([np.random.default_rng(38).random(400), [0.0, 1.0]])
         for t in (TargetPolynomial.chebyshev([0, 0.2, 0, 0.5 * 0.6]),
                   TargetPolynomial.chebyshev([0.4, 0, 0.3]), laplace_solution(4)[0]._target,
-                  _inverse_target(*TestInverseTarget.FITS[2][0])[0]):
+                  _inverse_target(*TestInverseTarget.FITS[2][0])):
             chunks.clear()
             assert np.max(np.abs(qsvt._at_singular_values(t, s) - t(s))) <= 1e-13
             if table == 1 or t.degree > 3:
@@ -529,7 +559,8 @@ def inverse_target_oracle(delta, eps, cap):
     """`_inverse_target` with the plain search: the closed-form coefficients
     up to the cap, the partial sum gains every term, zero coefficients
     included, each odd degree is checked on the whole grid by the Chebyshev
-    recurrence, and the target samples itself for its sup."""
+    recurrence, and the target is built without the unit check, as the
+    fit's is."""
     coefs = np.zeros(cap + 1)
     coefs[1::2] = qsvt._window_series(delta, qsvt._window_exponent(delta, eps), (cap + 1) // 2)
     grid = np.linspace(delta, 1.0, 2001)
@@ -541,19 +572,13 @@ def inverse_target_oracle(delta, eps, cap):
         if j % 2 == 1 and np.max(np.abs(partial - want)) <= eps / 2:
             break
         t_j, t_next = t_next, t_next * 2 * grid - t_j
-    c = coefs[: j + 1].copy()
-    sup = float(np.max(np.abs(np.polynomial.chebyshev.chebval(np.linspace(-1, 1, 4001), c))))
-    comp = 1.0
-    if sup > 1 - 2 * qsvt._MARGIN:
-        c *= (1 - 2 * qsvt._MARGIN) / sup
-        comp = sup / (1 - 2 * qsvt._MARGIN)
-    return TargetPolynomial.chebyshev(c, "odd"), comp
+    return TargetPolynomial(tuple(coefs[: j + 1]), "odd")
 
 
 class TestInverseTarget:
     # (delta, eps, cap) of the Laplace pseudoinverses at N=3..6, then a fit
-    # whose sampled sup is clamped to the margin, then one whose bound (1.03)
-    # is above the clamp level but whose sample (0.983) is not
+    # whose transform rescales it, then one whose bound (1.03) is above the
+    # margin but whose sample (0.983) is not
     FITS = [((0.0380602337443566, 0.01, 606), 223),
             ((0.009607359798384753, 0.01, 2471), 879),
             ((0.0024076366639015807, 0.01, 9931), 3509),
@@ -567,15 +592,16 @@ class TestInverseTarget:
         chebval = np.polynomial.chebyshev.chebval
         monkeypatch.setattr(np.polynomial.chebyshev, "chebval",
                             lambda x, c: sizes.append(np.size(x)) or chebval(x, c))
-        target, comp = _inverse_target.__wrapped__(*args)
+        target = _inverse_target.__wrapped__(*args)
         if args[1] == 0.01:  # the Laplace fits: the bound decides, nothing is sampled
             assert not [k for k in sizes if k >= 2001]
         monkeypatch.undo()
-        want, want_comp = inverse_target_oracle(*args)
+        want = inverse_target_oracle(*args)
         assert target.degree == want.degree == degree
         assert target.coefficients == want.coefficients
-        assert comp == want_comp
-        assert (comp > 1) == (args[1] == 1e-4)  # only the last fit is clamped
+        # only the 1e-4 fit is rescaled by its transform
+        rescale = SingularValueTransform(be.Increment(2), target)._rescale
+        assert (rescale < 1) == (args[1] == 1e-4)
         # the default sup is exactly the 2,001-point sample's
         assert target.sup_norm() == float(np.max(np.abs(target(np.linspace(-1, 1, 2001)))))
 
@@ -612,14 +638,14 @@ class TestInverseTarget:
     @pytest.mark.parametrize("n, degree", [(7, 53551), (8, 137343)])
     def test_laplace_degrees_at_n7_and_n8(self, n, degree):
         a_inv, _ = laplace_solution(n)
-        assert a_inv.degree == degree and a_inv._comp == 1.0
+        assert a_inv.degree == degree and a_inv.expansion.a._rescale == 1.0
 
     @pytest.mark.parametrize("fit, limit", [(FITS[0], 0.28e6), (FITS[1], 0.50e6),
                                             (FITS[2], 2.00e6)])
     def test_fit_memory_follows_the_degree(self, fit, limit):
         tracemalloc.start()
         try:
-            target, _ = _inverse_target.__wrapped__(*fit[0])
+            target = _inverse_target.__wrapped__(*fit[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -659,19 +685,17 @@ class TestInverseTarget:
     @pytest.mark.parametrize("args", [args for args, _ in FITS]
                              + [(0.000150590651897951, 0.01, 159122)])  # Laplace N=7
     def test_each_fit_computes_one_bound(self, args, monkeypatch):
-        # the clamp reads the bound of the target that the fit returns, or
-        # of the target it clamps, and the unit check computes no other
+        # a fit computes none; its transform computes one, for its rescale,
+        # cached on the target
         calls = []
         bound = qsvt._sup_bound
         monkeypatch.setattr(qsvt, "_sup_bound", lambda c: calls.append(1) or bound(c))
-        target, comp = _inverse_target.__wrapped__(*args)
+        target = _inverse_target.__wrapped__(*args)
+        assert len(calls) == 0
+        SingularValueTransform(be.Increment(2), target)
         assert len(calls) == 1
-        if comp == 1.0:  # the bound is the returned target's, cached
-            assert target.sup_bound == bound(target.coefficients)
-            assert len(calls) == 1
-
-    def test_default_grid_is_the_even_half_of_the_clamp_sample(self):
-        assert np.array_equal(np.linspace(-1.0, 1.0, 4001)[::2], np.linspace(-1.0, 1.0, 2001))
+        assert target.sup_bound == bound(target.coefficients)
+        assert len(calls) == 1
 
     def test_pseudoinverse_samples_its_target_once(self, monkeypatch):
         sizes = []
@@ -680,7 +704,7 @@ class TestInverseTarget:
                             lambda x, c: sizes.append(np.size(x)) or chebval(x, c))
         _inverse_target.cache_clear()
         a_inv, _ = laplace_solution(4)
-        assert a_inv.degree == 879 and a_inv._comp == 1.0
+        assert a_inv.degree == 879 and a_inv.expansion.a._rescale == 1.0
         assert len([k for k in sizes if k >= 2001]) == 0
         assert a_inv._target.sup_norm() == float(
             np.max(np.abs(chebval(np.linspace(-1, 1, 2001), np.asarray(a_inv._target.coefficients)))))
@@ -770,7 +794,7 @@ class TestPseudoinverse:
         rebuilt = graphs.parse_document(doc).a
         assert _inverse_target.cache_info().hits == hits + 1
         assert isinstance(rebuilt, be.Pseudoinverse)
-        assert rebuilt._target == a_inv._target and rebuilt._comp == a_inv._comp
+        assert rebuilt._target == a_inv._target
 
     def test_budget_failure_needs_delta(self):
         old = be.get_budget()
@@ -854,6 +878,14 @@ class TestLaplaceSimulation:
             counts.append((a_inv.degree, len(plan_steps(plan))))
         assert counts[0][0] == 223 and counts[1][0] == 353
         assert counts[0][1] == counts[1][1]
+
+    def test_n4_at_tolerance_1e_4_meets_it(self):
+        # the fit's sup is above 1, so its transform rescales it; a rescale
+        # by a sample that misses the peak left it above 1, and the solve stalled
+        a_inv, solution = laplace_solution(4, 1e-4)
+        assert a_inv.expansion.a._rescale < 1
+        want = np.linalg.norm(np.linalg.solve(a_inv.a.toarray(), solution.b.toarray().ravel()))
+        assert abs(solution.simulate_norm() - want) <= 1e-4 * want
 
     def test_n5_gates_are_counted_without_a_gate_tuple(self):
         # the flat tuple alone would take 4.2 MB
