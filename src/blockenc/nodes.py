@@ -24,8 +24,9 @@ items, each distinct block once and a phase sequence from its per-step
 parts, so it builds no `Circuit` and solves no phases; `circuit()` hands the
 items to `Circuit`, which keeps them and range-checks each distinct gate
 once.  A phase sequence iterates as its parts: its d + 1 RZ gates are bound
-on its first simulation, flatten or export, and the simulator's planner
-walks it like a block, taking its repeats from `occurrences()`.
+on its first simulation, flatten or export.  The simulator's planner walks
+it in one pass, step by step until its live set repeats, and runs the rest
+as one loop; `occurrences()` serves the counting only.
 """
 from __future__ import annotations
 

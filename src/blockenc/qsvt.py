@@ -23,7 +23,9 @@ takes the root to the nodes, and the second half follows in closed form.
 A pass costs O(d log^2 d), no array is larger than O(d), and no linear system
 is solved but a least-squares fit over at most 5 past steps.  The pointwise
 recurrence (`_top_row`) evaluates a sequence at arbitrary x for
-`realized_poly`.  Only the transform node rescales a target, by its bound.
+`realized_poly`.  Every sup check is one certified decision
+(`TargetPolynomial._exceeds`), and only the transform node rescales a
+target, by its bound.
 """
 from __future__ import annotations
 
@@ -52,32 +54,30 @@ class PhaseSolverError(RuntimeError):
         self.residual = residual
 
 
-def _sup_bound(c) -> float:
-    """An upper bound on max |p| over [-1, 1] for the Chebyshev series `c`
-    of degree d, computed without sampling.
+def _sup_bounds(c, m: int) -> tuple[float, float, float]:
+    """For the Chebyshev series `c` of degree d < M: max |p| over the M + 1
+    Chebyshev extrema cos(k pi / M), from one real FFT of length 2M, and a
+    lower and an upper bound on max |p| over [-1, 1].
 
-    One real FFT of length 2M gives p at the M + 1 Chebyshev extrema
-    cos(k pi / M), M the least power of two >= 4d, and the largest |p|
-    there times sec(d pi / 2M) <= sec(pi / 8) bounds |p| everywhere
-    (Ehlich & Zeller, Math. Z. 1964).  The slack covers rounding, with
-    u = 2^-53 and L = sum |c_j|.  A Clenshaw evaluation such as `chebval`
-    errs by at most 4 (d + 1)^2 u L to first order: its roundings at the
-    step of c_k amount to a change of c_k, and they are at most 4 u times
-    the partial sums sum_{j >= k} c_j U_{j-k}(x) of that step, which
-    |U_m| <= m + 1 on [-1, 1] bounds by (d + 1) L.  The FFT's values err by
-    at most 7 log2(2M) sqrt(2M) u L, the radix-2 bound (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, ch. 24) with
-    ||c||_2 <= L; numpy's mixed-radix FFT is taken to meet it, which the
-    tests check at x = 1 and -1.  The slack is twice the sum of the two,
-    so the bound is never below a sampled sup such as
-    `TargetPolynomial.sup_norm`."""
+    With u = 2^-53 and L = sum |c_j|, the FFT's values err by at most
+    e = 7 log2(2M) sqrt(2M) u L, the radix-2 bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 24) with ||c||_2 <= L;
+    numpy's mixed-radix FFT is taken to meet it, which the tests check at
+    x = 1 and -1.  The largest value less 2e is the lower bound.  The
+    largest value times sec(d pi / 2M) bounds |p| everywhere (Ehlich &
+    Zeller, Math. Z. 1964), and the upper bound adds twice e and twice the
+    first-order error bound of a Clenshaw evaluation such as `chebval`,
+    4 (d + 1)^2 u L: its roundings at the step of c_k amount to a change of
+    c_k, and they are at most 4 u times the partial sums
+    sum_{j >= k} c_j U_{j-k}(x) of that step, which |U_m| <= m + 1 on
+    [-1, 1] bounds by (d + 1) L, so no Clenshaw value exceeds the bound."""
     c = np.asarray(c, dtype=float)
     d = len(c) - 1
-    m = 1 << (4 * d - 1).bit_length() if d else 1
-    extrema = np.fft.rfft(c, 2 * m).real
-    rounding = 4 * (d + 1) ** 2 + 7 * math.log2(2 * m) * math.sqrt(2 * m)
-    return (float(np.max(np.abs(extrema))) / math.cos(d * math.pi / (2 * m))
-            + 2 * rounding * 2.0 ** -53 * float(np.sum(np.abs(c))))
+    top = float(np.max(np.abs(np.fft.rfft(c, 2 * m).real)))
+    fft = 7 * math.log2(2 * m) * math.sqrt(2 * m)
+    l1 = float(np.sum(np.abs(c)))
+    return (top, top - 2 * fft * 2.0 ** -53 * l1,
+            top / math.cos(d * math.pi / (2 * m)) + 2 * (4 * (d + 1) ** 2 + fft) * 2.0 ** -53 * l1)
 
 
 def _trimmed(c) -> np.ndarray:
@@ -99,9 +99,8 @@ class TargetPolynomial:
     def chebyshev(cls, coefficients, parity: str | None = None) -> "TargetPolynomial":
         """The target with these coefficients, trailing ones below 1e-14
         trimmed, after checking that they are finite, their parity and the
-        unit bound.  The unit bound reads `sup_bound` and samples `sup_norm`
-        only when the bound is above 1 + 1e-9, so it rejects exactly the
-        targets whose sample exceeds 1 + 1e-9."""
+        unit bound: it rejects a target unless its sup is certified to be
+        at most 1 + 1e-9 (`_exceeds`)."""
         c = np.asarray(coefficients, dtype=float)
         if not c.size:
             raise ValueError("a target needs at least one coefficient")
@@ -122,8 +121,8 @@ class TargetPolynomial:
             raise ValueError(f"coefficients of wrong parity present (max "
                              f"{np.max(np.abs(wrong)):.2e})")
         t = cls(tuple(c), parity)
-        if t._exceeds(1 + 1e-9):
-            raise ValueError(f"target exceeds the unit bound: sup ~= {t.sup_norm():.6f}")
+        if why := t._exceeds(1 + 1e-9):
+            raise ValueError(f"target exceeds the unit bound: {why}")
         return t
 
     @property
@@ -133,26 +132,41 @@ class TargetPolynomial:
     def __call__(self, x):
         return cheb.chebval(x, np.asarray(self.coefficients))
 
+    @cached_property
+    def _extrema(self) -> tuple[int, float, float, float]:
+        """M, the least power of two >= 4d, and `_sup_bounds` at M."""
+        d = self.degree
+        m = 1 << (4 * d - 1).bit_length() if d else 1
+        return (m, *_sup_bounds(self.coefficients, m))
+
     def sup_norm(self) -> float:
-        """Largest |p| over 2,001 equispaced points of [-1, 1], evaluated on
-        first use, once per instance.  A sample can miss a peak between its
-        points; `sup_bound` cannot."""
-        return self._sampled_sup
+        """Largest |p| over the M + 1 Chebyshev extrema cos(k pi / M), M the
+        least power of two >= 4d; at most `sup_bound`."""
+        return self._extrema[1]
 
-    @cached_property
-    def _sampled_sup(self) -> float:
-        return float(np.max(np.abs(self(np.linspace(-1.0, 1.0, 2001)))))
-
-    @cached_property
+    @property
     def sup_bound(self) -> float:
-        """An upper bound on max |p| over [-1, 1], from one FFT and a
-        rounding slack (`_sup_bound`); no sampled sup exceeds it."""
-        return _sup_bound(self.coefficients)
+        """An upper bound on max |p| over [-1, 1], from the FFT of
+        `sup_norm` and a rounding slack (`_sup_bounds`)."""
+        return self._extrema[3]
 
-    def _exceeds(self, level: float) -> bool:
-        """Whether the sample `sup_norm()` exceeds `level`: the bound
-        decides without sampling when it is at most `level`."""
-        return self.sup_bound > level and self.sup_norm() > level
+    def _exceeds(self, level: float) -> str:
+        """The evidence that max |p| over [-1, 1] exceeds `level`: a lower
+        bound above it, or "" once sum |c| or the bound at M extrema, M
+        growing eightfold from that of `sup_norm`, certifies it does not.
+        Past the amplitude budget it counts as exceeding: rejected or
+        rescaled, never solved unchecked."""
+        l1 = float(np.sum(np.abs(self.coefficients)))
+        if l1 * (1 + (self.degree + 1) * 2.0 ** -53) <= level:
+            return ""
+        m, _, low, high = self._extrema
+        most = get_budget().max_amplitudes
+        while low <= level < high:
+            m *= 8
+            if m > most:  # M + 1 values past the amplitude budget
+                return f"cannot certify sup <= {level:.10g} within the amplitude budget"
+            _, low, high = _sup_bounds(self.coefficients, m)
+        return f"sup >= {low:.10g}" if low > level else ""
 
     def scaled(self, s: float) -> "TargetPolynomial":
         return TargetPolynomial(tuple(s * c for c in self.coefficients), self.parity)
@@ -445,9 +459,9 @@ def solve_phases(target: TargetPolynomial, tol: float = 1e-8,
         res = float(np.max(np.abs(realized - _chebyshev_at_nodes(c, d + 1))))
         return PhaseVector(tuple(phases), target.parity, res)
 
-    if target._exceeds(1 - _MARGIN):
-        raise ValueError(f"target sup-norm {target.sup_norm():.6f} is above "
-                         f"1 - {_MARGIN}; rescale the target first")
+    if why := target._exceeds(1 - _MARGIN):
+        raise ValueError(f"target above the margin 1 - {_MARGIN} ({why}); "
+                         "rescale the target first")
 
     k = (d + 2) // 2  # free symmetric phases = free coefficients of this parity
     fx = _chebyshev_at_nodes(c, k)
@@ -509,9 +523,9 @@ class SingularValueTransform(Node):
     Circuit: projector-controlled phases around the input/output sectors
     alternating with the child circuit and its adjoint; one extra qubit
     averages the sequence with its conjugate-phase twin so the realized
-    function is the real part.  Arithmetic path: dense SVD.  A target above
-    1 - `_MARGIN` is solved scaled by (1 - `_MARGIN`) / `sup_bound`, the
-    inverse of the normalization: no sup exceeds the bound, so it has phases.
+    function is the real part.  Arithmetic path: dense SVD.  A target not
+    certified within 1 - `_MARGIN` is solved scaled by (1 - `_MARGIN`) /
+    `sup_bound`, the inverse of the normalization, so it has phases.
     """
 
     def __init__(self, a: Node, target: TargetPolynomial):
