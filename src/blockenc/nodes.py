@@ -18,7 +18,7 @@ Lowering is structural: each node's `_structure` is a sequence of items
 sequences) plus its ancilla counts.  `Layout.embed` relabels a child's items,
 each distinct gate, block and phase sequence once; the QSVT's d + 1 phase
 steps are one `PhaseSequence` that holds its child, the child's adjoint and
-its sector marks as blocks, so the N=5 Laplace solution's 519,530 gates are
+its sector marks as blocks, so the N=5 Laplace solution's 210,606 gates are
 a few dozen items whatever the degree.  `resources` counts gates from the
 items, each distinct block once and a phase sequence from its per-step
 parts, so it builds no `Circuit` and solves no phases; `circuit()` hands the
@@ -204,17 +204,23 @@ class Node:
 
     # -- derived, cached ---------------------------------------------------
     @cached_property
-    def main_qubits(self) -> int:
+    def _sectors(self) -> tuple[int, Subspace, Subspace]:
+        """(main qubits, subspace_in, subspace_out), from one `_raw_subspaces` call."""
         si, so = self._raw_subspaces()
-        return max(si.qubit_count, so.qubit_count)
+        m = max(si.qubit_count, so.qubit_count)
+        return m, si.pad_to(m), so.pad_to(m)
+
+    @cached_property
+    def main_qubits(self) -> int:
+        return self._sectors[0]
 
     @cached_property
     def subspace_in(self) -> Subspace:
-        return self._raw_subspaces()[0].pad_to(self.main_qubits)
+        return self._sectors[1]
 
     @cached_property
     def subspace_out(self) -> Subspace:
-        return self._raw_subspaces()[1].pad_to(self.main_qubits)
+        return self._sectors[2]
 
     @property
     def dim_in(self) -> int:

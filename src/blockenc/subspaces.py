@@ -235,32 +235,54 @@ class ScratchPool:
         self.free.append(slot)
 
 
-def _flip_if_member(sub: Subspace, offset: int, target: int, extra_controls, pool):
+def _constrained(f) -> bool:
+    """A factor that needs a scratch bit: a controlled pair whose branches
+    are not both full."""
+    return isinstance(f, Controlled) and f.dim != 1 << f.qubit_count
+
+
+def _flip_computed(sub: Subspace, offset: int, target: int, extra_controls, pool, held):
     """Gates flipping `target` exactly on basis states inside `sub` (and all
-    extra controls satisfied).  Scratch is computed and uncomputed locally."""
+    extra controls satisfied) that leave their conditions computed: one
+    scratch bit per constrained factor, set when the factor's qubits are a
+    member, and, recursively, the conditions of the last such factor's second
+    branch.  Each slot left set is appended to `held` in allocation order, for
+    the caller's reverse replay to restore.  Every other branch network is
+    clean, so the scratch peak is that of clean networks everywhere."""
     out: list[Gate] = []
     conds = list(extra_controls)
-    computed: list[tuple[int, list[Gate]]] = []
+    last = max((i for i, f in enumerate(sub.factors) if _constrained(f)), default=-1)
     q = offset
-    for f in sub.factors:
+    for i, f in enumerate(sub.factors):
         if isinstance(f, ZeroQubit):
             conds.append((q, 0))
-            q += 1
-            continue
-        if f.dim == 1 << f.qubit_count:  # unconstrained block, no condition
-            q += f.qubit_count
-            continue
-        w = f.branch0.qubit_count
-        s = pool.alloc()
-        cg = (_flip_if_member(f.branch0, q, s, ((q + w, 0),), pool)
-              + _flip_if_member(f.branch1, q, s, ((q + w, 1),), pool))
-        out.extend(cg)
-        computed.append((s, cg))
-        conds.append((s, 1))
+        elif _constrained(f):
+            w = f.branch0.qubit_count
+            s = pool.alloc()
+            held.append(s)
+            out += _flip_if_member(f.branch0, q, s, ((q + w, 0),), pool)
+            if i == last:
+                out += _flip_computed(f.branch1, q, s, ((q + w, 1),), pool, held)
+            else:
+                out += _flip_if_member(f.branch1, q, s, ((q + w, 1),), pool)
+            conds.append((s, 1))
         q += f.qubit_count
     out.append(Gate("X", (target,), tuple(conds)))
-    for s, cg in reversed(computed):
-        out.extend(reversed(cg))  # pure X network, self-inverse
+    return out
+
+
+def _flip_if_member(sub: Subspace, offset: int, target: int, extra_controls, pool):
+    """Gates flipping `target` exactly on basis states inside `sub` (and all
+    extra controls satisfied), by compute-copy-uncompute (Bennett 1973): the
+    conditions are computed, the flip copies their conjunction onto `target`,
+    and the computing gates replayed in reverse (an X network's inverse)
+    restore every scratch slot to |0>.  Along the spine of last factors a
+    nesting level adds a constant number of gates; uncomputing each bit by
+    replaying its branches' whole networks doubled them per level."""
+    held: list[int] = []
+    out = _flip_computed(sub, offset, target, extra_controls, pool, held)
+    out += out[-2::-1]  # the computing gates, reversed
+    for s in reversed(held):
         pool.release(s)
     return out
 
@@ -271,6 +293,10 @@ def membership_flip_gates(sub: Subspace, qubit_offset: int, flag: int, pool,
 
     The subspace qubits start at `qubit_offset`; scratch comes from `pool`.
     `zero_qubits` lists further qubits that must be |0> for membership.
+    Along the spine of last constrained factors and second branches, each
+    condition is computed once and uncomputed once (`_flip_if_member`), so
+    the sector [0, 2^n - 1), all spine, costs 4n - 2 gates on n - 1 scratch
+    qubits.
     """
     extra = tuple((q, 0) for q in zero_qubits)
     if sub.is_full and not extra:

@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -301,6 +302,33 @@ class TestCachesAndBudget:
         assert np.array_equal(node.toarray(), node.toarray())
         assert node.resources() == node.resources()
         assert node.subspace_in is node.subspace_in
+
+    def test_each_node_derives_its_subspaces_once(self, monkeypatch):
+        # main_qubits, subspace_in and subspace_out share one derivation
+        calls, alive = collections.Counter(), []
+
+        def subclasses(cls):
+            for c in cls.__subclasses__():
+                yield c
+                yield from subclasses(c)
+
+        for cls in set(subclasses(Node)):
+            raw = vars(cls).get("_raw_subspaces")
+            if raw is not None:
+                def counted(node, raw=raw):
+                    calls[id(node)] += 1
+                    alive.append(node)  # so that no id is reused
+                    return raw(node)
+                monkeypatch.setattr(cls, "_raw_subspaces", counted)
+        child = 0.6 * be.Increment(2) + 0.3 * be.Identity(dim=4)
+        made = [n for seed in range(4) for n, _ in sum(build_corpus(seed), [])]
+        made.append(be.SingularValueTransform(child, be.TargetPolynomial.chebyshev([0, 0.4, 0, 0.3])))
+        for node in made:
+            assert node.verify(1e-7).passed
+            node.resources()
+            assert node.subspace_in.qubit_count == node.subspace_out.qubit_count == node.main_qubits
+        assert all(calls[id(n)] == 1 for n in made)
+        assert set(calls.values()) == {1}
 
     def test_budget_guards(self):
         node = be.Increment(3)

@@ -917,7 +917,7 @@ class TestPseudoinverse:
             be.set_budget(old)
 
     def test_lowering_builds_each_repeated_part_once(self):
-        # Laplace N=4 solution, 72,179 gates.  The phase steps are one item
+        # Laplace N=4 solution, 44,003 gates.  The phase steps are one item
         # that repeats the two sector marks and the child and its adjoint by
         # reference, so under 1,000 distinct gate objects exist once the RZs
         # are bound; a Gate per occurrence would trace ~25 MB
@@ -929,13 +929,13 @@ class TestPseudoinverse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(circ.gates) == 72179
+        assert len(circ.gates) == 44003
         assert len({id(g) for g in circ.gates}) < 1000
         assert peak < 3 * 2**16  # 106 KiB measured: the items, no gate tuple
 
 
 class TestLaplaceSimulation:
-    # `simulate` of the N=3 solution (12 qubits, 10,756 gates) on the input 1,
+    # `simulate` of the N=3 solution (12 qubits, 8,960 gates) on the input 1,
     # recorded when every 2x2 kernel still ran on strided views of the state
     N3_GOLDEN = [0.054505074929518144, 0.09345434461789699, 0.11683604729476316,
                  0.12463664204477154, 0.11683604729476312, 0.09345434461789717,
@@ -1016,11 +1016,11 @@ class TestLaplaceSimulation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n == 519530
+        assert n == 210606
         assert peak < 2**20
 
     def test_n5_simulate_norm_matches_the_arithmetic_path(self):
-        # 16 qubits and 519,530 gates, of which at most 512 rows are ever live
+        # 16 qubits and 210,606 gates, of which at most 512 rows are ever live
         solution = laplace_solution(5)[1]
         want = np.linalg.norm(solution.toarray())
         assert abs(solution.simulate_norm() - want) <= 1e-10 * want
@@ -1057,12 +1057,11 @@ def lowered_nodes(node):
 class TestStructuralLowering:
     """Lowering and counting from items: gates and shared blocks."""
 
-    # the N=3 solution's gate tuple, recorded when each node still lowered to
-    # a flat gate list
-    N3_DIGEST = "aff49f226f57648d473438a7f46942e3b4e50f1bdfdd113fdb987434f3a76386"
-    # the N=4 solution's 72,179 gates, recorded when `Circuit` still stored
-    # them flattened (every angle lies over 1e-8 from a rounding boundary)
-    N4_DIGEST = "ca5d49be190545b089a3f407ba929597d28b4c909c7bb114a86c352fc3bc7a89"
+    # the N=3 solution's gate tuple and the N=4 solution's 44,003 gates (every
+    # angle lies over 1e-8 from a rounding boundary), recorded with
+    # compute-copy-uncompute sector marks
+    N3_DIGEST = "81c4cfbdfe7a4e12da85b95344a1c8f8fbac31d98a9198500712365475720d0d"
+    N4_DIGEST = "889097c52e2d92b582f45b53b5dbb751a017357b895226761bffd19d584e4e9a"
 
     @staticmethod
     def svt(child):
@@ -1080,7 +1079,7 @@ class TestStructuralLowering:
         _, solution = laplace_solution(3)
         rep = solution.resources()
         assert lowered_nodes(solution) == []
-        assert sum(rep.gate_counts.values()) == 10756 and rep.total_qubits == 12
+        assert sum(rep.gate_counts.values()) == 8960 and rep.total_qubits == 12
 
     def test_n3_gate_tuple_is_unchanged(self):
         circ = laplace_solution(3)[1].circuit()
@@ -1089,9 +1088,23 @@ class TestStructuralLowering:
 
     def test_n4_gate_tuple_is_unchanged(self):
         circ = laplace_solution(4)[1].circuit()
-        assert len(circ.gates) == 72179
+        assert len(circ.gates) == 44003
         assert gate_digest(circ.gates) == self.N4_DIGEST
         assert len({id(g) for g in circ.gates}) == 938
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_laplace_sector_marks_are_linear_in_n(self, n):
+        # each nesting level of the sector [0, 2^N - 1) doubled its mark
+        # while a factor's bit was uncomputed by replaying its branches: 62
+        # gates at N=5, now 18 on the same N - 1 scratch qubits
+        svt = laplace_solution(n)[0].expansion.a
+        (seq,) = [it for it in svt._structure[0] if isinstance(it, PhaseSequence)]
+        rot = seq.rotation.targets[0]
+        for mark, unmark in seq.marks:
+            scratch = {q for g in mark for q in (*g.targets, *(c for c, _ in g.controls))
+                       if q > rot}
+            assert len(mark) <= 4 * n - 2 and len(scratch) <= n - 1
+            assert unmark == mark[::-1]
 
     def test_structure_of_the_qsvt_does_not_grow_with_the_degree(self):
         # one register at two tolerances, so two degrees: the phase steps are
@@ -1110,7 +1123,7 @@ class TestStructuralLowering:
         solve_phases.cache_clear()
         rep = rebuilt.resources()
         assert solve_phases.cache_info().misses == 0
-        assert sum(rep.gate_counts.values()) == 10756
+        assert sum(rep.gate_counts.values()) == 8960
         assert list(rep.gate_counts.items()) == list(rebuilt.circuit().gate_counts().items())
         assert solve_phases.cache_info().misses == 0
 
@@ -1157,7 +1170,7 @@ class TestStructuralLowering:
             self.assert_report_is_the_circuits(node)
 
     def test_circuit_from_items_is_the_circuit_from_their_flat_tuple(self):
-        for n, length in ((3, 10756), (4, 72179)):
+        for n, length in ((3, 8960), (4, 44003)):
             _, solution = laplace_solution(n)
             items, _, ancillas = solution._structure
             assert any(not isinstance(it, Gate) for it in items)  # blocks, as the QSVT shares them
@@ -1251,7 +1264,7 @@ class TestPhaseLoop:
 
     def test_laplace_solution(self):
         # every row of the N=4 register live would take the flat circuit
-        # 72,179 full-state gates
+        # 44,003 full-state gates
         assert self.assert_loop_matches_flat(laplace_solution(3)[1]) == 2
         assert self.assert_loop_matches_flat(laplace_solution(4)[1], whole=False) == 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockenc.circuits import Circuit, Gate, t_count_estimate
 from blockenc.subspaces import (
     Controlled,
     ScratchPool,
@@ -11,6 +12,7 @@ from blockenc.subspaces import (
     SubspaceFormatError,
     SubspaceShapeError,
     ZeroQubit,
+    membership_flip_gates,
 )
 
 
@@ -330,3 +332,104 @@ def test_scratch_pool_reuse():
     b = pool.alloc()
     assert a == b == 10
     assert pool.peak == 1
+
+
+def reference_flip_if_member(sub, offset, target, extra_controls, pool):
+    """The membership recursion before compute-copy-uncompute: each factor's
+    scratch bit is computed from its branches' whole clean networks and
+    uncomputed by replaying them, so each nesting level doubles the gates."""
+    out = []
+    conds = list(extra_controls)
+    computed = []
+    q = offset
+    for f in sub.factors:
+        if isinstance(f, ZeroQubit):
+            conds.append((q, 0))
+            q += 1
+            continue
+        if f.dim == 1 << f.qubit_count:
+            q += f.qubit_count
+            continue
+        w = f.branch0.qubit_count
+        s = pool.alloc()
+        cg = (reference_flip_if_member(f.branch0, q, s, ((q + w, 0),), pool)
+              + reference_flip_if_member(f.branch1, q, s, ((q + w, 1),), pool))
+        out.extend(cg)
+        computed.append((s, cg))
+        conds.append((s, 1))
+        q += f.qubit_count
+    out.append(Gate("X", (target,), tuple(conds)))
+    for s, cg in reversed(computed):
+        out.extend(reversed(cg))
+        pool.release(s)
+    return out
+
+
+def reference_membership_flip_gates(sub, qubit_offset, flag, pool, zero_qubits=()):
+    extra = tuple((q, 0) for q in zero_qubits)
+    if sub.is_full and not extra:
+        return []
+    body = reference_flip_if_member(sub, qubit_offset, flag, extra, pool)
+    if len(body) == 1 and len(body[0].controls) == 1:
+        (q, p), = body[0].controls
+        return [Gate("X", (flag,), ((q, 1 - p),))]
+    return [Gate("X", (flag,))] + body
+
+
+def run_classical(gates, state):
+    """The basis state an X network maps `state` to."""
+    for g in gates:
+        assert g.kind == "X"
+        if all((state >> q) & 1 == v for q, v in g.controls):
+            state ^= 1 << g.targets[0]
+    return state
+
+
+class TestMembershipNetworkSize:
+    """Mark networks with forced-zero flags: their truth table, and their
+    size against the doubling recursion."""
+
+    @staticmethod
+    def marks(sub, zeros, builder):
+        """(gates, scratch peak) of a mark over `sub` on qubits 0.., `zeros`
+        forced-zero flags after it, then the flag and the scratch."""
+        n = sub.qubit_count
+        flag = n + zeros
+        pool = ScratchPool(flag + 1)
+        return builder(sub, 0, flag, pool, tuple(range(n, flag))), pool.peak
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_prefix_of_all_but_the_last_is_linear(self, n):
+        # 2^(n+1) - 2 gates before, one doubling per nesting level
+        circ = Subspace.from_dim(2**n - 1).membership_circuit()
+        assert len(circ.gates) <= 4 * n - 2
+        assert circ.ancilla_qubits - 1 <= n - 1
+        for x in range(1 << n):
+            out = run_classical(circ.gates, x)
+            assert out == x | ((x == 2**n - 1) << n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subspace_strategy(), st.integers(0, 2))
+    def test_truth_table_with_zero_flags(self, s, zeros):
+        gates, _ = self.marks(s, zeros, membership_flip_gates)
+        n = s.qubit_count
+        flag = n + zeros
+        members = set(int(b) for b in s.enumerate_basis())
+        for x in range(1 << flag):
+            for set_flag in (0, 1):
+                before = x | (set_flag << flag)
+                after = run_classical(gates, before)
+                outside = (x & ((1 << n) - 1)) not in members or x >> n != 0
+                assert after == before ^ (outside << flag)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(subspace_strategy(), built_subspaces(6)), st.integers(0, 2))
+    def test_never_larger_than_the_doubling_recursion(self, s, zeros):
+        got, got_peak = self.marks(s, zeros, membership_flip_gates)
+        ref, ref_peak = self.marks(s, zeros, reference_membership_flip_gates)
+        assert len(got) <= len(ref)
+        assert got_peak <= ref_peak
+        width = s.qubit_count + zeros + 1
+        cost = t_count_estimate(Circuit(width, got_peak, tuple(got)))
+        ref_cost = t_count_estimate(Circuit(width, ref_peak, tuple(ref)))
+        assert cost["t"] <= ref_cost["t"] and cost["scratch"] <= ref_cost["scratch"]
