@@ -273,6 +273,9 @@ def _kron_apply(fa, fb, na: int, nb: int, v):
 class BlockDiagonal(Node):
     """diag(a, b) selected by one new most significant qubit.
 
+    b runs on selector |1>, a on selector |0>; neither branch flips the
+    selector.
+
     Normalizations are auto-equalized: the smaller-gamma child is physically
     sub-normalized by a controlled RY on a fresh flag ancilla whose |0>
     outcome is part of the accepted output sector.
@@ -329,11 +332,7 @@ class BlockDiagonal(Node):
             gates.append(ry(2 * math.acos(ratio), m, [(selector, polarity)]))
 
         gates += lay.embed(1, controls=((selector, 1),))
-        a_gates = lay.embed(0, controls=((selector, 1),))
-        if a_gates:
-            gates.append(Gate("X", (selector,)))
-            gates += a_gates
-            gates.append(Gate("X", (selector,)))
+        gates += lay.embed(0, controls=((selector, 0),))
         return gates, lay.persistent, lay.child_scratch
 
     def __repr__(self):

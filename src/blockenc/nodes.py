@@ -18,8 +18,8 @@ Lowering is structural: each node's `_structure` is a sequence of items
 sequences) plus its ancilla counts.  `Layout.embed` relabels a child's items,
 each distinct gate, block and phase sequence once; the QSVT's d + 1 phase
 steps are one `PhaseSequence` that holds its child, the child's adjoint and
-its sector marks as blocks, so the N=5 Laplace solution's 210,606 gates are
-a few dozen items whatever the degree.  `resources` counts gates from the
+its sector marks as blocks, so a solution's items do not grow with the
+degree while its gates do.  `resources` counts gates from the
 items, each distinct block once and a phase sequence from its per-step
 parts, so it builds no `Circuit` and solves no phases; `circuit()` hands the
 items to `Circuit`, which keeps them and range-checks each distinct gate

@@ -774,7 +774,11 @@ def _inverse_target(delta: float, eps: float, cap: int):
     x = 5/m for m odd terms at eps = 0.01): as many as fit in
     `_WITNESS_TABLE` cosines, at least 2 and at most 32.  A horizon of more
     than the amplitude budget's count of coefficients raises
-    `BudgetExceededError`.
+    `BudgetExceededError`.  Each |c_{2j+1}| is below delta (each tail sum of
+    binomials is below 1/2), so n terms sum to below n delta at the first
+    grid point x = delta, where the fit must reach (1 - eps)/2.  Where the
+    most terms the search may take sum to below half of that, the other half
+    left to rounding, it raises its error without computing a coefficient.
 
     The target is the one `TargetPolynomial.chebyshev` would build, trailing
     coefficients trimmed, without its unit check: at tight tolerances its
@@ -783,24 +787,27 @@ def _inverse_target(delta: float, eps: float, cap: int):
     b = _window_exponent(delta, eps)
     top = min((cap + 1) // 2, b)  # odd degrees up to the cap and up to 2b - 1
     most = get_budget().max_amplitudes
-    count = min(top, most, math.ceil(math.sqrt(b) * math.sqrt(math.log(4.0 / eps))) + 1)
-    grid = np.linspace(delta, 1.0, 2001)
-    want = 0.5 * delta / grid
-    theta = np.arccos(grid)
-    witnesses = list(range(min(32, max(2, _WITNESS_TABLE // count))))
-    while True:
-        odd = _window_series(delta, b, count)
-        m = _first_fit(odd, theta, want, eps / 2, witnesses)
-        if m:
-            break
-        if count == top:
+    reach = min(top, most)  # the most terms the search may take
+    m = 0
+    if 4 * reach * delta >= 1 - eps:
+        count = min(reach, math.ceil(math.sqrt(b) * math.sqrt(math.log(4.0 / eps))) + 1)
+        grid = np.linspace(delta, 1.0, 2001)
+        want = 0.5 * delta / grid
+        theta = np.arccos(grid)
+        witnesses = list(range(min(32, max(2, _WITNESS_TABLE // count))))
+        while True:
+            odd = _window_series(delta, b, count)
+            m = _first_fit(odd, theta, want, eps / 2, witnesses)
+            if m or count == reach:
+                break
+            count = min(reach, 2 * count)
+    if not m:
+        if top <= most:
             raise PhaseSolverError(f"no odd degree within the budget {cap} "
                                    f"reaches accuracy {eps / 2:.2e}")
-        if count == most:
-            raise BudgetExceededError(
-                f"the inverse fit needs more than {most} odd coefficients "
-                f"(degree {2 * most - 1}), over the amplitude budget")
-        count = min(top, most, 2 * count)
+        raise BudgetExceededError(
+            f"the inverse fit needs more than {most} odd coefficients "
+            f"(degree {2 * most - 1}), over the amplitude budget")
     c = np.zeros(2 * m)
     c[1::2] = odd[:m]
     return TargetPolynomial(tuple(_trimmed(c)), "odd")

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import blockenc as be
+from blockenc.circuits import Gate, flatten, ry, t_count_estimate
 from blockenc.composites import Product, ZeroMatrix
+from blockenc.nodes import Layout, ProxyNode
+from blockenc.qsvt import SingularValueTransform, TargetPolynomial
 
 from corpus import build_corpus, shift_matrix
 
@@ -166,6 +171,113 @@ class TestBlockDiagonal:
         assert node.verify().passed
 
 
+def reference_block_diagonal_parts(self):
+    """`BlockDiagonal._parts` before a ran on selector |0>: a was controlled
+    on selector |1> between two uncontrolled X gates on the selector."""
+    a, b = self.a, self.b
+    selector = max(a.main_qubits, b.main_qubits)
+    m = selector + 1
+    ga, gb = a.normalization, b.normalization
+    subnorm = ga != gb
+    lay = Layout(m, int(subnorm), self.children)
+
+    gates = []
+    if subnorm:
+        ratio = min(ga, gb) / max(ga, gb)
+        polarity = 0 if ga < gb else 1
+        gates.append(ry(2 * math.acos(ratio), m, [(selector, polarity)]))
+
+    gates += lay.embed(1, controls=((selector, 1),))
+    a_gates = lay.embed(0, controls=((selector, 1),))
+    if a_gates:
+        gates.append(Gate("X", (selector,)))
+        gates += a_gates
+        gates.append(Gate("X", (selector,)))
+    return gates, lay.persistent, lay.child_scratch
+
+
+def block_diagonals(node):
+    """Every BlockDiagonal of the DAG below `node`, expansions included."""
+    seen, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if isinstance(n, be.BlockDiagonal):
+            yield n
+        stack.extend(n.children)
+        if isinstance(n, ProxyNode):
+            stack.append(n.expansion)
+
+
+def corpus_nodes(seed):
+    pool, made = build_corpus(seed)
+    return [node for node, _ in pool + made]
+
+
+class TestBlockDiagonalSelector:
+    """a runs on selector |0> with no X on the selector; the circuit path is
+    the one of the X-sandwiched reference, bit for bit."""
+
+    CASES = {
+        "subnormalized": lambda: be.Increment(2) | 0.5 * be.QFT(2),
+        "subnormalized_b": lambda: 3 * be.Permutation([2, 0, 3, 1]) | be.Increment(2)[:3, :3],
+        "a_without_gates": lambda: be.Identity(dim=4) | be.Increment(2),
+        "b_without_gates": lambda: be.Increment(2) | be.Identity(dim=3),
+        "nested": lambda: (be.Increment(1) | be.QFT(1)) | (be.Increment(2) | be.Identity(dim=4)),
+        "svt_child": lambda: (SingularValueTransform(
+            be.Increment(2)[:3, :3], TargetPolynomial.chebyshev([0, 0.4, 0, 0.3]))
+            | be.Increment(2)),
+        "add": lambda: be.Increment(2)[:3, :3] + 2j * be.QFT(2)[1:, :3],
+    }
+
+    @staticmethod
+    def pairs(build, monkeypatch):
+        """(node, reference node) pairs from two fresh builds of the list `build()`."""
+        nodes = build()
+        with monkeypatch.context() as m:
+            m.setattr(be.BlockDiagonal, "_parts", reference_block_diagonal_parts)
+            refs = build()
+            for ref in refs:
+                ref.circuit()  # lower every node while the reference is in place
+        return list(zip(nodes, refs, strict=True))
+
+    @staticmethod
+    def assert_no_selector_flip(node):
+        for bd in block_diagonals(node):
+            selector = max(bd.a.main_qubits, bd.b.main_qubits)
+            assert not any(g.kind == "X" and g.targets == (selector,) and not g.controls
+                           for g in flatten(bd._structure[0]))
+
+    @staticmethod
+    def assert_no_dearer(node, ref):
+        circ, rc = node.circuit(), ref.circuit()
+        assert len(circ.gates) <= len(rc.gates) and circ.n_qubits == rc.n_qubits
+        t, rt = t_count_estimate(circ), t_count_estimate(rc)
+        assert t["t"] <= rt["t"] and t["scratch"] <= rt["scratch"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_hand_built(self, case, monkeypatch):
+        (node, ref), = self.pairs(lambda: [self.CASES[case]()], monkeypatch)
+        assert next(block_diagonals(node), None) is not None
+        self.assert_no_selector_flip(node)
+        self.assert_no_dearer(node, ref)
+        eye = np.eye(node.dim_in, dtype=complex)
+        (got, bounded), (want, ref_bounded) = node._simulate(eye), ref._simulate(eye)
+        assert got.tobytes() == want.tobytes() and bounded == ref_bounded
+        assert node.verify(1e-8).passed  # the SVT's phases are solved to 1e-8
+        assert node.circuit().n_qubits <= 8
+        assert np.max(np.abs(node.circuit().unitary() - ref.circuit().unitary())) <= 1e-12
+
+    @pytest.mark.parametrize("first", range(0, 300, 50))
+    def test_corpus(self, first, monkeypatch):
+        for seed in range(first, first + 50):
+            for node, ref in self.pairs(lambda: corpus_nodes(seed), monkeypatch):
+                self.assert_no_selector_flip(node)
+                self.assert_no_dearer(node, ref)
+
+
 class TestAdd:
     def test_all_ones_example(self):
         node = be.Identity(dim=2) + pauli_x_node()
@@ -276,8 +388,8 @@ class TestRegisterLayout:
         # selector 2, own sub-normalization flag 3, a's flag 4, b's flag 5, scratch 6
         sizes, gates = self.layout(be.BlockDiagonal(self.checked(), 2 * ZeroMatrix(3, 3)))
         assert sizes == (3, 4, 3)
-        assert gates == ([("RY", (3,), ((2, 0),)), ("X", (5,), ((2, 1),)), ("X", (2,), ())]
-                         + self.member(4, 6, ((2, 1),)) + [("X", (2,), ())])
+        assert gates == ([("RY", (3,), ((2, 0),)), ("X", (5,), ((2, 1),))]
+                         + self.member(4, 6, ((2, 0),)))
 
     def test_tensor(self):
         # b on main 0-1, a on main 2-3; a's flag 4, b's flag 5, scratch 6

@@ -793,6 +793,37 @@ class TestInverseTarget:
             be.set_budget(old)
         assert peak < 2**20
 
+    def test_fits_out_of_reach_at_delta_compute_no_coefficient(self, monkeypatch):
+        # each |c_{2j+1}| < delta, so below the cap of condition 2 and within
+        # the default budget of condition 1e12 no partial sum comes near the
+        # target 1/2 at x = 1e-150; each raises what the search would
+        calls = []
+        series = qsvt._window_series
+        monkeypatch.setattr(qsvt, "_window_series", lambda *a: calls.append(a) or series(*a))
+        old = be.get_budget()
+        try:
+            be.set_budget(be.Budget())
+            most = be.get_budget().max_amplitudes
+            for condition, error, message in (
+                    (2, PhaseSolverError, "no odd degree within the budget {} "
+                                          "reaches accuracy 2.50e-02"),
+                    (1e12, be.BudgetExceededError,
+                     f"the inverse fit needs more than {most} odd coefficients "
+                     f"(degree {2 * most - 1}), over the amplitude budget")):
+                cap = math.ceil(4 * condition * math.log(4.0 / 0.05))
+                tracemalloc.start()
+                try:
+                    with pytest.raises(error) as info:
+                        _inverse_target.__wrapped__(1e-150, 0.05, cap)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert str(info.value) == message.format(cap)
+                assert peak < 2**20, (condition, peak)
+        finally:
+            be.set_budget(old)
+        assert calls == []
+
     @pytest.mark.parametrize("args", [args for args, _ in FITS]
                              + [(0.000150590651897951, 0.01, 159122)])  # Laplace N=7
     def test_each_fit_computes_one_bound(self, args, monkeypatch):
@@ -917,7 +948,7 @@ class TestPseudoinverse:
             be.set_budget(old)
 
     def test_lowering_builds_each_repeated_part_once(self):
-        # Laplace N=4 solution, 44,003 gates.  The phase steps are one item
+        # Laplace N=4 solution, 42,245 gates.  The phase steps are one item
         # that repeats the two sector marks and the child and its adjoint by
         # reference, so under 1,000 distinct gate objects exist once the RZs
         # are bound; a Gate per occurrence would trace ~25 MB
@@ -929,13 +960,13 @@ class TestPseudoinverse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(circ.gates) == 44003
+        assert len(circ.gates) == 42245
         assert len({id(g) for g in circ.gates}) < 1000
         assert peak < 3 * 2**16  # 106 KiB measured: the items, no gate tuple
 
 
 class TestLaplaceSimulation:
-    # `simulate` of the N=3 solution (12 qubits, 8,960 gates) on the input 1,
+    # `simulate` of the N=3 solution (12 qubits, 8,514 gates) on the input 1,
     # recorded when every 2x2 kernel still ran on strided views of the state
     N3_GOLDEN = [0.054505074929518144, 0.09345434461789699, 0.11683604729476316,
                  0.12463664204477154, 0.11683604729476312, 0.09345434461789717,
@@ -1016,11 +1047,11 @@ class TestLaplaceSimulation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n == 210606
+        assert n == 203588
         assert peak < 2**20
 
     def test_n5_simulate_norm_matches_the_arithmetic_path(self):
-        # 16 qubits and 210,606 gates, of which at most 512 rows are ever live
+        # 16 qubits and 203,588 gates, of which at most 512 rows are ever live
         solution = laplace_solution(5)[1]
         want = np.linalg.norm(solution.toarray())
         assert abs(solution.simulate_norm() - want) <= 1e-10 * want
@@ -1057,11 +1088,12 @@ def lowered_nodes(node):
 class TestStructuralLowering:
     """Lowering and counting from items: gates and shared blocks."""
 
-    # the N=3 solution's gate tuple and the N=4 solution's 44,003 gates (every
+    # the N=3 solution's gate tuple and the N=4 solution's 42,245 gates (every
     # angle lies over 1e-8 from a rounding boundary), recorded with
-    # compute-copy-uncompute sector marks
-    N3_DIGEST = "81c4cfbdfe7a4e12da85b95344a1c8f8fbac31d98a9198500712365475720d0d"
-    N4_DIGEST = "889097c52e2d92b582f45b53b5dbb751a017357b895226761bffd19d584e4e9a"
+    # compute-copy-uncompute sector marks and block diagonals that run their
+    # first block on selector |0>
+    N3_DIGEST = "e52bebfc7e9cdb821e6b4e2358ef5f170620a25b9617d9a20f12dcddcfb6fd3b"
+    N4_DIGEST = "30a1e0e352984cbf4870802464cf4798ca2ce67e2d082fc910d5d9d3494f56d8"
 
     @staticmethod
     def svt(child):
@@ -1079,18 +1111,18 @@ class TestStructuralLowering:
         _, solution = laplace_solution(3)
         rep = solution.resources()
         assert lowered_nodes(solution) == []
-        assert sum(rep.gate_counts.values()) == 8960 and rep.total_qubits == 12
+        assert sum(rep.gate_counts.values()) == 8514 and rep.total_qubits == 12
 
     def test_n3_gate_tuple_is_unchanged(self):
         circ = laplace_solution(3)[1].circuit()
         assert gate_digest(circ.gates) == self.N3_DIGEST
-        assert len({id(g) for g in circ.gates}) == 273
+        assert len({id(g) for g in circ.gates}) == 271
 
     def test_n4_gate_tuple_is_unchanged(self):
         circ = laplace_solution(4)[1].circuit()
-        assert len(circ.gates) == 44003
+        assert len(circ.gates) == 42245
         assert gate_digest(circ.gates) == self.N4_DIGEST
-        assert len({id(g) for g in circ.gates}) == 938
+        assert len({id(g) for g in circ.gates}) == 936
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_laplace_sector_marks_are_linear_in_n(self, n):
@@ -1123,7 +1155,7 @@ class TestStructuralLowering:
         solve_phases.cache_clear()
         rep = rebuilt.resources()
         assert solve_phases.cache_info().misses == 0
-        assert sum(rep.gate_counts.values()) == 8960
+        assert sum(rep.gate_counts.values()) == 8514
         assert list(rep.gate_counts.items()) == list(rebuilt.circuit().gate_counts().items())
         assert solve_phases.cache_info().misses == 0
 
@@ -1170,7 +1202,7 @@ class TestStructuralLowering:
             self.assert_report_is_the_circuits(node)
 
     def test_circuit_from_items_is_the_circuit_from_their_flat_tuple(self):
-        for n, length in ((3, 8960), (4, 44003)):
+        for n, length in ((3, 8514), (4, 42245)):
             _, solution = laplace_solution(n)
             items, _, ancillas = solution._structure
             assert any(not isinstance(it, Gate) for it in items)  # blocks, as the QSVT shares them
@@ -1264,7 +1296,7 @@ class TestPhaseLoop:
 
     def test_laplace_solution(self):
         # every row of the N=4 register live would take the flat circuit
-        # 44,003 full-state gates
+        # 42,245 full-state gates
         assert self.assert_loop_matches_flat(laplace_solution(3)[1]) == 2
         assert self.assert_loop_matches_flat(laplace_solution(4)[1], whole=False) == 1
 
